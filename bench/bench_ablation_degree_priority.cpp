@@ -33,8 +33,8 @@ void run_panel(const char* title, const graph::Csr& csr,
                            "cpu_greedy_id", "dsatur", "gunrock_is",
                            "grb_mis"}) {
     const color::AlgorithmSpec* spec = color::find_algorithm(name);
-    const bench::Measurement m =
-        bench::run_averaged(*spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+    const bench::Measurement m = bench::run_averaged(
+        *spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder);
     if (!m.valid) {
       std::fprintf(stderr, "INVALID coloring from %s\n", name);
       std::exit(1);

@@ -235,8 +235,8 @@ int main(int argc, char** argv) {
     const obs::ScopedPhase dataset_phase(info.name);
     std::map<std::string, bench::Measurement> results;
     for (const auto* spec : algorithms) {
-      results[spec->name] =
-          bench::run_averaged(*spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+      results[spec->name] = bench::run_averaged(
+          *spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder);
       if (!results[spec->name].valid) {
         std::fprintf(stderr, "INVALID coloring: %s on %s\n",
                      spec->name.c_str(), info.name.c_str());

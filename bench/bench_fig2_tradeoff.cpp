@@ -28,8 +28,8 @@ void run_panel(const char* title, const std::vector<const char*>& names,
     std::int32_t cheap_colors = 0, expensive_colors = 0;
     for (const char* name : names) {
       const color::AlgorithmSpec* spec = color::find_algorithm(name);
-      const bench::Measurement m =
-          bench::run_averaged(*spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+      const bench::Measurement m = bench::run_averaged(
+          *spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder);
       table.add_row({info.name, spec->display_name, bench::fmt(m.ms_avg),
                      std::to_string(m.result.num_colors)});
       if (std::string(name) == cheap) cheap_colors = m.result.num_colors;

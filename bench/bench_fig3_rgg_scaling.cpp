@@ -42,10 +42,11 @@ int main(int argc, char** argv) {
   for (int scale = args.min_rgg_scale; scale <= args.max_rgg_scale; ++scale) {
     const graph::Csr csr = graph::build_csr(
         graph::generate_rgg(scale, {.seed = args.seed + 200}));
-    const bench::Measurement g =
-        bench::run_averaged(*gunrock, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+    const bench::Measurement g = bench::run_averaged(
+        *gunrock, csr, args.seed, args.runs, args.frontier_mode, args.reorder);
     const bench::Measurement b =
-        bench::run_averaged(*graphblast, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+        bench::run_averaged(*graphblast, csr, args.seed, args.runs,
+                            args.frontier_mode, args.reorder);
     if (!g.valid || !b.valid) {
       std::fprintf(stderr, "INVALID coloring at scale %d\n", scale);
       return 1;

@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,8 +19,6 @@
 #include "sim/bitops.hpp"
 #include "sim/compact.hpp"
 #include "sim/device.hpp"
-#include "sim/footprint.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/reduce.hpp"
 #include "sim/rng.hpp"
 #include "sim/scan.hpp"
@@ -451,86 +448,6 @@ BENCHMARK(BM_CsrGatherReordered<graph::ReorderStrategy::kDbg>)
     ->DenseRange(14, 18, 2);
 BENCHMARK(BM_CsrGatherReordered<graph::ReorderStrategy::kBfs>)
     ->DenseRange(14, 18, 2);
-
-// Launch-graph capture & replay (DESIGN.md §3i): the per-round dispatch
-// shape of the converted algorithms — a fixed chain of independent kernels
-// over disjoint buffers. Eager execution pays one barrier per launch; the
-// recorded graph's dependency pass merges all four nodes into a single
-// barrier interval, so replay pays one. The grid sweep (1 .. 64k) brackets
-// the regimes: tiny grids where the eager inline fast path already skips
-// the pool (replay's node bodies still run inline, so neither side pays a
-// barrier), the just-past-inline grids where the eager chain pays four full
-// barriers and replay one — the paper's small-frontier tail iterations —
-// and large grids where the memory traffic dominates either way.
-constexpr int kChainNodes = 4;
-
-struct ChainBuffers {
-  explicit ChainBuffers(std::int64_t n) {
-    for (auto& buf : bufs) buf.assign(static_cast<std::size_t>(n), 0);
-  }
-  std::array<std::vector<std::int64_t>, kChainNodes> bufs;
-};
-
-void launch_chain(sim::Device& device, ChainBuffers& chain, std::int64_t n,
-                  bool capturing) {
-  for (auto& buf : chain.bufs) {
-    std::int64_t* data = buf.data();
-    if (capturing) {
-      device.capture_footprint(sim::Footprint{}.writes_aligned(
-          data, n * static_cast<std::int64_t>(sizeof(std::int64_t)), n));
-    }
-    device.launch(
-        "bench::chain_node", n,
-        [=](std::int64_t i) { data[static_cast<std::size_t>(i)] += i; },
-        sim::Schedule::kStatic, 0, nullptr,
-        sim::Traffic{sizeof(std::int64_t), sizeof(std::int64_t)});
-  }
-}
-
-void BM_EagerChainDispatch(benchmark::State& state) {
-  auto& device = sim::Device::instance();
-  const std::int64_t n = state.range(0);
-  ChainBuffers chain(n);
-  for (auto _ : state) {
-    launch_chain(device, chain, n, /*capturing=*/false);
-  }
-  state.SetItemsProcessed(state.iterations() * n * kChainNodes);
-}
-BENCHMARK(BM_EagerChainDispatch)->Range(1, 1 << 16);
-
-// One-time cost of recording + the dependency/elision pass — what an
-// algorithm pays on its first round to dodge the eager barriers on every
-// later one.
-void BM_GraphCapture(benchmark::State& state) {
-  auto& device = sim::Device::instance();
-  const std::int64_t n = state.range(0);
-  ChainBuffers chain(n);
-  for (auto _ : state) {
-    sim::LaunchGraph graph;
-    device.begin_capture(graph);
-    launch_chain(device, chain, n, /*capturing=*/true);
-    device.end_capture();
-    graph.finalize();
-    benchmark::DoNotOptimize(graph.interval_count());
-  }
-  state.SetItemsProcessed(state.iterations() * kChainNodes);
-}
-BENCHMARK(BM_GraphCapture)->Range(1, 1 << 16);
-
-void BM_GraphReplay(benchmark::State& state) {
-  auto& device = sim::Device::instance();
-  const std::int64_t n = state.range(0);
-  ChainBuffers chain(n);
-  sim::LaunchGraph graph;
-  device.begin_capture(graph);
-  launch_chain(device, chain, n, /*capturing=*/true);
-  device.end_capture();
-  for (auto _ : state) {
-    device.replay(graph);
-  }
-  state.SetItemsProcessed(state.iterations() * n * kChainNodes);
-}
-BENCHMARK(BM_GraphReplay)->Range(1, 1 << 16);
 
 void BM_SegmentedReduce(benchmark::State& state) {
   auto& device = sim::Device::instance();

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   double previous_paper = 0.0;
   for (const Row& row : rows) {
     const color::AlgorithmSpec* spec = color::find_algorithm(row.algorithm);
-    const bench::Measurement m =
-        bench::run_averaged(*spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+    const bench::Measurement m = bench::run_averaged(
+        *spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder);
     if (!m.valid) {
       std::fprintf(stderr, "INVALID coloring from %s\n", row.algorithm);
       return 1;
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
   previous_ms = 0.0;
   for (const Row& row : palette_rows) {
     const color::AlgorithmSpec* spec = color::find_algorithm(row.algorithm);
-    const bench::Measurement m =
-        bench::run_averaged(*spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder, args.graph_replay);
+    const bench::Measurement m = bench::run_averaged(
+        *spec, csr, args.seed, args.runs, args.frontier_mode, args.reorder);
     if (!m.valid) {
       std::fprintf(stderr, "INVALID coloring from %s\n", row.algorithm);
       return 1;

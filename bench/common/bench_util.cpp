@@ -35,7 +35,7 @@ namespace {
       "  --batch=N    batched-throughput mode: color N copies of each graph "
       "as one multi-stream batch and compare against N sequential runs "
       "(default 0 = classic mode)\n"
-      "  --json PATH  also write a gcol-bench-v7 JSON report to PATH\n"
+      "  --json PATH  also write a gcol-bench-v8 JSON report to PATH\n"
       "  --trace PATH also write a Chrome trace-event JSON (open in "
       "ui.perfetto.dev)\n"
       "  --datasets=A,B  only run the named datasets (default: all)\n"
@@ -48,10 +48,7 @@ namespace {
       "(default identity)\n"
       "  --hw-counters  sample perf_event hardware counters around every "
       "observed launch (Linux; silently degrades to modeled-traffic-only "
-      "when perf_event_open is denied)\n"
-      "  --graph-replay  capture each algorithm's per-iteration kernel DAG "
-      "once and replay it with dependency-elided barriers (identical "
-      "colors; fewer barriers + less dispatch overhead)\n",
+      "when perf_event_open is denied)\n",
       program);
   std::exit(2);
 }
@@ -68,7 +65,7 @@ bool install_hw_sampling() {
   return true;
 }
 
-/// The run-environment block of the gcol-bench-v7 header: enough to tell two
+/// The run-environment block of the gcol-bench-v8 header: enough to tell two
 /// BENCH_*.json files measured different machines/configs apart before
 /// comparing their numbers. Git SHA and build type are baked in at configure
 /// time (see bench/CMakeLists.txt); worker count and GCOL_THREADS are read
@@ -76,8 +73,7 @@ bool install_hw_sampling() {
 /// device streams the harness scheduled measured work onto (0 for a classic
 /// host-only run).
 obs::Json run_meta(gr::FrontierMode frontier_mode, unsigned streams,
-                   graph::ReorderStrategy reorder, bool hw_counters,
-                   bool graph_replay) {
+                   graph::ReorderStrategy reorder, bool hw_counters) {
   obs::Json meta = obs::Json::object();
   meta.set("workers",
            static_cast<std::int64_t>(sim::Device::instance().num_workers()));
@@ -120,12 +116,6 @@ obs::Json run_meta(gr::FrontierMode frontier_mode, unsigned streams,
   // every per-kernel "gbps" in this report is read against.
   meta.set("hw_counters", hw_counters);
   meta.set("peak_gbps", peak_gbps());
-  // v7: whether the measured runs executed under launch-graph capture &
-  // replay (DESIGN.md §3i). Replay never moves colors or per-kernel launch
-  // counts — only barrier intervals — so a replay-vs-eager diff is still
-  // meaningful (CI's identity gate IS that comparison); the key makes the
-  // mode visible via bench_diff's meta-mismatch warning.
-  meta.set("graph_replay", graph_replay);
   return meta;
 }
 
@@ -152,8 +142,6 @@ Args parse_args(int argc, char** argv) {
     const char* value = nullptr;
     if (std::strcmp(arg, "--csv") == 0) {
       args.csv = true;
-    } else if (std::strcmp(arg, "--graph-replay") == 0) {
-      args.graph_replay = true;
     } else if (std::strcmp(arg, "--hw-counters") == 0) {
       // Arms the device-global sampler right here, so every harness gets
       // hardware attribution without per-harness wiring; resolves to the
@@ -289,7 +277,7 @@ std::vector<const color::AlgorithmSpec*> selected_algorithms(
 Measurement run_averaged(const color::AlgorithmSpec& spec,
                          const graph::Csr& csr, std::uint64_t seed, int runs,
                          gr::FrontierMode mode,
-                         graph::ReorderStrategy reorder, bool graph_replay) {
+                         graph::ReorderStrategy reorder) {
   Measurement m;
   m.valid = true;
   double total = 0.0;
@@ -301,7 +289,6 @@ Measurement run_averaged(const color::AlgorithmSpec& spec,
     options.seed = seed;
     options.frontier_mode = mode;
     options.reorder = reorder;
-    options.graph_replay = graph_replay;
     sim::Stopwatch watch;
     color::Coloring result = spec.run(csr, options);
     const double ms = watch.elapsed_ms();
@@ -385,13 +372,13 @@ JsonReport::JsonReport(std::string bench_name, const Args& args,
   // Disabled reports never serialize, so skip the header — notably the
   // peak-bandwidth calibration run_meta triggers — on table-only runs.
   if (!enabled()) return;
-  header_.set("schema", "gcol-bench-v7");
+  header_.set("schema", "gcol-bench-v8");
   header_.set("bench", std::move(bench_name));
   header_.set("scale", args.scale);
   header_.set("runs", args.runs);
   header_.set("seed", static_cast<std::int64_t>(args.seed));
   header_.set("meta", run_meta(args.frontier_mode, streams, args.reorder,
-                               args.hw_counters, args.graph_replay));
+                               args.hw_counters));
 }
 
 void JsonReport::add_measurement(std::string_view dataset,

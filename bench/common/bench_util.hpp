@@ -54,11 +54,6 @@ struct Args {
   /// the flag was passed but perf_event_open is denied (non-Linux, seccomp,
   /// perf_event_paranoid), so meta.hw_counters never lies.
   bool hw_counters = false;
-  /// --graph-replay: capture each algorithm's per-iteration kernel DAG once
-  /// and replay it on later rounds with dependency-elided barriers
-  /// (DESIGN.md §3i). Colors are byte-identical either way; launch overhead
-  /// and barrier counts are what move, so this is meta.graph_replay's axis.
-  bool graph_replay = false;
 };
 
 /// Parses --scale=0.1 --runs=10 --csv --min-rgg=15 --max-rgg=20 --seed=7
@@ -99,15 +94,12 @@ struct Measurement {
 /// `mode` is the frontier policy for the frontier-driven algorithms (others
 /// ignore it); harnesses pass Args::frontier_mode. `reorder` is the CSR
 /// relabeling strategy the registry applies (and un-permutes) around the
-/// color phase; harnesses pass Args::reorder. `graph_replay` turns on
-/// launch-graph capture & replay inside every measured run; harnesses pass
-/// Args::graph_replay.
+/// color phase; harnesses pass Args::reorder.
 [[nodiscard]] Measurement run_averaged(
     const color::AlgorithmSpec& spec, const graph::Csr& csr,
     std::uint64_t seed, int runs,
     gr::FrontierMode mode = gr::FrontierMode::kAuto,
-    graph::ReorderStrategy reorder = graph::ReorderStrategy::kIdentity,
-    bool graph_replay = false);
+    graph::ReorderStrategy reorder = graph::ReorderStrategy::kIdentity);
 
 /// Geometric mean (the paper's summary statistic for speedups).
 [[nodiscard]] double geomean(std::span<const double> values);
@@ -138,26 +130,19 @@ class TablePrinter {
 /// Accumulates one schema-stable JSON record per (dataset, algorithm) data
 /// point and writes the whole report on demand:
 ///
-///   {"schema": "gcol-bench-v7", "bench": <name>, "scale": F, "runs": N,
+///   {"schema": "gcol-bench-v8", "bench": <name>, "scale": F, "runs": N,
 ///    "seed": N, "meta": {"workers": N, "gcol_threads": S, "git_sha": S,
 ///    "build_type": S, "advance_policy": S, "frontier_mode": S,
 ///    "streams": N, "simd": S, "reorder": S, "hw_counters": B,
-///    "peak_gbps": F, "graph_replay": B},
+///    "peak_gbps": F},
 ///    "records": [{"dataset": ..., "algorithm": ..., "ms": F,
 ///    "ms_min": F, "colors": N, "iterations": N, "kernel_launches": N,
 ///    "conflicts_resolved": N, "valid": B, "display_name": ...,
 ///    "metrics": {...}}, ...]}
 ///
-/// v7 over v6: the trailing "graph_replay" meta key — whether the measured
-/// runs executed under launch-graph capture & replay (DESIGN.md §3i) — plus
-/// per-kernel "graphed" (replayed-launch count) and "barrier_intervals"
-/// (ThreadPool barriers actually paid after dependency elision) fields
-/// inside metrics.kernels entries, emitted only for kernels that replayed
-/// at least once, so eager reports stay byte-compatible with v6 readers.
-/// bench_diff reads barrier_intervals for its advisory BARRIERS- lane
-/// (defaulting to launches when the keys are absent), and a replay-vs-eager
-/// diff announces itself via the meta.graph_replay mismatch warning — the
-/// CI identity gate is exactly that comparison (LAUNCHES/COLORS must hold).
+/// v8 over v7: v7's trailing replay-mode meta key and its per-kernel
+/// replayed-launch / barrier-interval counters are gone with the launch
+/// replay mode they described; every launch now pays exactly one barrier.
 ///
 /// v6 over v5: the trailing "hw_counters" (were perf_event counters
 /// actually sampled — false covers both "flag absent" and "flag passed but

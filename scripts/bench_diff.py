@@ -1,23 +1,14 @@
 #!/usr/bin/env python3
 """Diff two gcol-bench JSON reports (see bench/common/bench_util.hpp).
 
-Accepts gcol-bench-v1 through -v7 reports (v2 adds a "meta"
-run-environment header and per-kernel imbalance fields; v3 adds the
-meta.streams key and optional batched-throughput records, which carry
-"kind": "batch" and are skipped here — batch throughput is compared by eye,
-not gated; v4 adds the meta.simd key naming the compiled SIMD backend, so a
-scalar-vs-vector comparison announces itself via the meta-mismatch warning
-rather than silently mixing builds; v5 adds the meta.reorder key naming the
-cache-aware CSR relabeling strategy the runs colored under — reordering is
-transparent to colors and launches, so a reorder mismatch warns the same
-way, flagging that wall-clock deltas are a layout ablation, not a code
-change; v6 adds the meta.hw_counters flag — were perf_event counters
-actually sampled — and meta.peak_gbps, the machine's measured STREAM-triad
-bandwidth, plus per-kernel traffic-model fields; v7 adds the
-meta.graph_replay flag — did the runs execute under launch-graph capture &
-replay — plus per-kernel "graphed"/"barrier_intervals" fields, emitted only
-for kernels that replayed, so the BARRIERS lane below defaults
-barrier_intervals to launches for everything older). Compares records
+Accepts gcol-bench-v8 reports and the v7 reports they replaced (v8 drops
+v7's trailing replay-mode meta flag and per-kernel replay counters, so a
+v7-vs-v8 diff shows the missing meta key as a mismatch and otherwise
+compares normally). The meta header names the run environment —
+worker count, build, frontier policy, streams, SIMD backend, CSR reorder
+strategy, hardware-counter sampling and measured peak bandwidth — and
+batched-throughput records ("kind": "batch") are skipped: batch throughput
+is compared by eye, not gated. Compares records
 keyed by (dataset, algorithm) and reports, per pair: runtime (ms),
 kernel-launch count, color count deltas, and — when both sides carry
 telemetry — the time-weighted per-kernel load-imbalance delta. Wall time is
@@ -33,11 +24,8 @@ relative — that means a different machine (or memory config), not noise.
 
 Exit status is 0 unless --gate is passed, in which case the DETERMINISTIC
 regressions (LAUNCHES+, COLORS+, INVALID) fail the run. SLOWER,
-IMBALANCE+, BANDWIDTH- (per-record achieved GB/s of the modeled
-traffic dropped by more than --bandwidth-tolerance) and BARRIERS-
-(total worker barriers paid per record SHRANK — the launch-graph elision
-savings marker, printed so a replay-on vs replay-off diff quantifies what
-the recorded graphs bought) are always advisory —
+IMBALANCE+ and BANDWIDTH- (per-record achieved GB/s of the modeled
+traffic dropped by more than --bandwidth-tolerance) are always advisory —
 shared CI runners are too noisy to gate on wall time, and both imbalance
 and bandwidth are timing-derived ratios — but the flags still land in the
 table and the summary so real movement is visible in the job log.
@@ -55,9 +43,7 @@ import argparse
 import json
 import sys
 
-ACCEPTED_SCHEMAS = ("gcol-bench-v1", "gcol-bench-v2", "gcol-bench-v3",
-                    "gcol-bench-v4", "gcol-bench-v5", "gcol-bench-v6",
-                    "gcol-bench-v7")
+ACCEPTED_SCHEMAS = ("gcol-bench-v7", "gcol-bench-v8")
 
 # meta.peak_gbps is a measured float: ignore run-to-run jitter below this
 # relative difference, warn beyond it (a different machine or memory config).
@@ -80,7 +66,7 @@ def load_doc(path: str) -> dict:
 def index_records(doc: dict, path: str) -> dict[tuple[str, str], dict]:
     records = {}
     for r in doc.get("records", []):
-        # v3 batched-throughput records measure a different quantity
+        # Batched-throughput records measure a different quantity
         # (N-graph batch wall time) and carry none of the per-run fields
         # this diff keys on; only classic records are compared.
         if r.get("kind") == "batch":
@@ -96,7 +82,7 @@ def record_imbalance(record: dict) -> float | None:
 
     Weighted by each kernel's total_ms so a tiny perfectly-balanced setup
     kernel cannot mask a skewed hot kernel. None when no kernel in the
-    record carries telemetry (v1 reports, or a run with no listener).
+    record carries telemetry (a run with no listener).
     """
     kernels = (record.get("metrics") or {}).get("kernels") or {}
     weight_sum = 0.0
@@ -121,7 +107,7 @@ def record_bandwidth(record: dict) -> float | None:
     Reconstructs each kernel's modeled wall time from its bytes and gbps
     fields (modeled_ms = bytes / (gbps · 1e6)), then returns total bytes
     over total modeled time — the exact aggregate rate, not a mean of
-    ratios. None when no kernel carries a traffic model (pre-v6 reports).
+    ratios. None when no kernel carries a traffic model.
     """
     kernels = (record.get("metrics") or {}).get("kernels") or {}
     total_bytes = 0.0
@@ -136,25 +122,6 @@ def record_bandwidth(record: dict) -> float | None:
     if total_ms == 0.0:
         return None
     return total_bytes / (total_ms * 1e6)
-
-
-def record_barriers(record: dict) -> int | None:
-    """Total worker barriers paid across one record's kernels.
-
-    v7 reports emit per-kernel "barrier_intervals" only for kernels that
-    replayed from a recorded launch graph (one barrier per interval head);
-    everything else — including every kernel of a pre-v7 or replay-off
-    report — paid one barrier per launch, so the count defaults to
-    "launches". None when the record carries no kernel table at all (a
-    custom/ablation record), so callers can skip the lane entirely.
-    """
-    kernels = (record.get("metrics") or {}).get("kernels") or {}
-    if not kernels:
-        return None
-    total = 0
-    for stat in kernels.values():
-        total += stat.get("barrier_intervals", stat.get("launches", 0))
-    return total
 
 
 def direction_launches(record: dict) -> dict[str, int]:
@@ -230,7 +197,7 @@ def compare(base_doc: dict, after_doc: dict, base_path: str, after_path: str,
 
     header = (f"{'dataset':<12} {'algorithm':<28} "
               f"{'ms before':>10} {'ms after':>10} {'Δms':>8} "
-              f"{'launches':>14} {'barriers':>14} {'colors':>11} "
+              f"{'launches':>14} {'colors':>11} "
               f"{'imbal':>12}  flags")
     print(header)
     print("-" * len(header))
@@ -266,22 +233,10 @@ def compare(base_doc: dict, after_doc: dict, base_path: str, after_path: str,
         if b_bw is not None and a_bw is not None and b_bw > 0 and \
                 (b_bw - a_bw) / b_bw > bandwidth_tolerance:
             flags.append("BANDWIDTH-")
-        # Advisory BARRIERS- lane: total worker barriers paid SHRANK — the
-        # launch-graph elision savings marker. Launch counts are
-        # mode-invariant under replay (one per node, gated above), so a
-        # replay-on vs replay-off diff shows its win exactly here.
-        b_barriers = record_barriers(b)
-        a_barriers = record_barriers(a)
-        if b_barriers is not None and a_barriers is not None:
-            barriers_cell = f"{b_barriers:>6}->{a_barriers:<6}"
-            if a_barriers < b_barriers:
-                flags.append("BARRIERS-")
-        else:
-            barriers_cell = "-"
         print(f"{key[0]:<12} {key[1]:<28} "
               f"{b['ms']:>10.3f} {a['ms']:>10.3f} "
               f"{fmt_delta(b['ms'], a['ms']):>8} "
-              f"{launches_cell:>14} {barriers_cell:>14} {colors_cell:>11} "
+              f"{launches_cell:>14} {colors_cell:>11} "
               f"{imbal_cell:>12}  "
               f"{' '.join(flags)}")
         if flags:
@@ -300,22 +255,6 @@ def compare(base_doc: dict, after_doc: dict, base_path: str, after_path: str,
               f"push {base_dirs['push']}->{after_dirs['push']}  "
               f"pull {base_dirs['pull']}->{after_dirs['pull']}  "
               f"direction-less {base_dirs['none']}->{after_dirs['none']}")
-
-    # Aggregate barrier accounting: quantifies what launch-graph elision
-    # bought across the whole sweep (the per-record BARRIERS- flags say
-    # where; this line says how much).
-    barrier_pairs = [(record_barriers(base[k]), record_barriers(after[k]))
-                     for k in common]
-    barrier_pairs = [(b, a) for b, a in barrier_pairs
-                     if b is not None and a is not None]
-    if barrier_pairs:
-        b_total = sum(b for b, _ in barrier_pairs)
-        a_total = sum(a for _, a in barrier_pairs)
-        line = (f"total worker barriers (common pairs): {b_total}->{a_total}")
-        if b_total > 0:
-            line += f"  ({fmt_delta(b_total, a_total)})"
-        print()
-        print(line)
 
     print()
     gating = [(key, [f for f in flags if f in GATING_FLAGS])
@@ -356,7 +295,7 @@ def _record(dataset="d", algorithm="a", ms=10.0, launches=5, colors=4,
     }
 
 
-def _doc(records, schema="gcol-bench-v2", meta=None) -> dict:
+def _doc(records, schema="gcol-bench-v8", meta=None) -> dict:
     doc = {"schema": schema, "bench": "self_test", "scale": 0.01, "runs": 1,
            "seed": 1, "records": records}
     if meta is not None:
@@ -377,10 +316,10 @@ def _run_compare(base_doc, after_doc, gate=True, capture=None):
     return code
 
 
-def _batch_only_exits(v3_doc: dict) -> bool:
+def _batch_only_exits(doc: dict) -> bool:
     """True when a batch-records-only report makes index_records bail out."""
-    batch_only = dict(v3_doc)
-    batch_only["records"] = [r for r in v3_doc["records"]
+    batch_only = dict(doc)
+    batch_only["records"] = [r for r in doc["records"]
                              if r.get("kind") == "batch"]
     try:
         index_records(batch_only, "<batch-only>")
@@ -486,175 +425,95 @@ def self_test() -> int:
                  _doc([_record()], meta={"workers": 4}), capture=out)
     check("matching meta silent", "meta.workers" not in out[0])
 
-    # v1 reports (no meta, no imbalance fields) still compare.
-    v1 = _doc([_record()], schema="gcol-bench-v1")
-    check("v1 vs v2 compares", _run_compare(v1, base) == 0)
-
-    # v3 reports compare, and their batched-throughput records are ignored
-    # (different quantity: batch wall time, no per-run launch/color fields).
+    # Batched-throughput records are ignored (different quantity: batch
+    # wall time, no per-run launch/color fields).
     batch_record = {"dataset": "d", "algorithm": "a", "kind": "batch",
                     "batch": 8, "streams": 4, "ms": 5.0, "seq_ms": 10.0,
                     "graphs_per_s": 1600.0, "speedup_vs_sequential": 2.0,
                     "colors": 4, "pool_allocations": 0, "identical": True,
                     "valid": True}
-    v3 = _doc([_record(), batch_record], schema="gcol-bench-v3",
-              meta={"workers": 1, "streams": 4})
-    check("v3 vs v2 compares, batch records skipped",
-          _run_compare(base, v3) == 0)
-    check("batch-only report refuses to diff", _batch_only_exits(v3))
+    batched = _doc([_record(), batch_record], meta={"workers": 1,
+                                                    "streams": 4})
+    check("batch records skipped", _run_compare(base, batched) == 0)
+    check("batch-only report refuses to diff", _batch_only_exits(batched))
 
-    # v4 reports (meta.simd names the compiled backend) are accepted, and a
-    # scalar-vs-vector comparison announces itself via the meta mismatch
-    # warning instead of silently mixing builds.
-    def v4(simd):
-        return _doc([_record()], schema="gcol-bench-v4",
-                    meta={"workers": 1, "streams": 0, "simd": simd})
-    check("v4 vs v4 compares", _run_compare(v4("avx2"), v4("avx2")) == 0)
+    # The full v8 meta header: every config axis mismatch warns, never
+    # gates; deterministic regressions still gate across any of them.
+    def v8(kernels=None, launches=5, **overrides):
+        meta = {"workers": 1, "gcol_threads": "1", "git_sha": "abc",
+                "build_type": "Release", "advance_policy": "edge_balanced",
+                "frontier_mode": "auto", "streams": 0, "simd": "avx2",
+                "reorder": "identity", "hw_counters": False,
+                "peak_gbps": 25.0}
+        meta.update(overrides)
+        return _doc([_record(kernels=kernels, launches=launches)], meta=meta)
+    check("v8 vs v8 compares", _run_compare(v8(), v8()) == 0)
+    for key, before, after in (("simd", "scalar", "avx2"),
+                               ("reorder", "identity", "dbg"),
+                               ("hw_counters", False, True)):
+        out = []
+        code = _run_compare(v8(**{key: before}), v8(**{key: after}),
+                            capture=out)
+        check(f"meta.{key} mismatch warned, not gated",
+              code == 0 and f"meta.{key}: {before!r} -> {after!r}" in out[0])
     out = []
-    code = _run_compare(v4("scalar"), v4("avx2"), capture=out)
-    check("meta.simd mismatch warned, not gated",
-          code == 0 and "meta.simd" in out[0]
-          and "'scalar' -> 'avx2'" in out[0])
-    out = []
-    _run_compare(v4("sse2"), v4("sse2"), capture=out)
+    _run_compare(v8(simd="sse2"), v8(simd="sse2"), capture=out)
     check("matching meta.simd silent", "meta.simd" not in out[0])
-    # A v4 schema string is accepted by load_doc's whitelist.
-    check("v4 schema accepted", "gcol-bench-v4" in ACCEPTED_SCHEMAS)
-
-    # v5 reports (meta.reorder names the CSR relabeling strategy) are
-    # accepted; comparing runs measured under different layouts announces
-    # itself via the meta mismatch warning — advisory, never gating, since
-    # reordering must not move colors or launches (that invariance is
-    # exactly what a cross-layout gate run proves).
-    def v5(reorder):
-        return _doc([_record()], schema="gcol-bench-v5",
-                    meta={"workers": 1, "streams": 0, "simd": "avx2",
-                          "reorder": reorder})
-    check("v5 schema accepted", "gcol-bench-v5" in ACCEPTED_SCHEMAS)
-    check("v5 vs v5 compares", _run_compare(v5("dbg"), v5("dbg")) == 0)
-    out = []
-    code = _run_compare(v5("identity"), v5("dbg"), capture=out)
-    check("meta.reorder mismatch warned, not gated",
-          code == 0 and "meta.reorder" in out[0]
-          and "'identity' -> 'dbg'" in out[0])
-    out = []
-    _run_compare(v5("degree_sort"), v5("degree_sort"), capture=out)
-    check("matching meta.reorder silent", "meta.reorder" not in out[0])
     # Cross-layout regressions still gate: reordering may not cost colors
-    # or launches, so a v5 identity-vs-dbg diff with LAUNCHES+ fails.
-    after = v5("dbg")
-    after["records"] = [_record(launches=6)]
+    # or launches, so an identity-vs-dbg diff with LAUNCHES+ fails.
     check("cross-layout LAUNCHES+ still gates",
-          _run_compare(v5("identity"), after) == 1)
-    # v4 vs v5: the new key shows up as absent-vs-present, warned only.
-    out = []
-    code = _run_compare(v4("avx2"), v5("identity"), capture=out)
-    check("v4 vs v5 compares with reorder key warning",
-          code == 0 and "meta.reorder" in out[0])
-
-    # v6 reports: meta.hw_counters (bool) + meta.peak_gbps (measured float)
-    # plus per-kernel traffic-model fields.
-    def v6(hw=False, peak=25.0, kernels=None, launches=5):
-        return _doc([_record(kernels=kernels, launches=launches)],
-                    schema="gcol-bench-v6",
-                    meta={"workers": 1, "streams": 0, "simd": "avx2",
-                          "reorder": "identity", "hw_counters": hw,
-                          "peak_gbps": peak})
-    check("v6 schema accepted", "gcol-bench-v6" in ACCEPTED_SCHEMAS)
-    check("v6 vs v6 compares", _run_compare(v6(), v6()) == 0)
-    # hw_counters mismatch warns (counters change what launches cost).
-    out = []
-    code = _run_compare(v6(hw=False), v6(hw=True), capture=out)
-    check("meta.hw_counters mismatch warned, not gated",
-          code == 0 and "meta.hw_counters" in out[0])
+          _run_compare(v8(reorder="identity"),
+                       v8(reorder="dbg", launches=6)) == 1)
     # peak_gbps is measured: small jitter stays silent, a big relative
     # difference (different machine) warns.
     out = []
-    _run_compare(v6(peak=25.0), v6(peak=26.5), capture=out)
+    _run_compare(v8(peak_gbps=25.0), v8(peak_gbps=26.5), capture=out)
     check("peak_gbps jitter silent", "meta.peak_gbps" not in out[0])
     out = []
-    code = _run_compare(v6(peak=25.0), v6(peak=50.0), capture=out)
+    code = _run_compare(v8(peak_gbps=25.0), v8(peak_gbps=50.0), capture=out)
     check("peak_gbps machine change warned, not gated",
           code == 0 and "meta.peak_gbps" in out[0])
 
     # BANDWIDTH-: achieved GB/s of the modeled traffic dropping beyond
     # tolerance is flagged, advisory only; recoveries and small dips stay
-    # silent; pre-v6 baselines (no traffic fields) never flag.
+    # silent; baselines without traffic fields never flag.
     def traffic_kernels(gbps):
         return {"k": {"launches": 5, "items": 100, "total_ms": 9.0,
                       "bytes_read": 8_000_000, "bytes_written": 2_000_000,
                       "gbps": gbps}}
-    bw_base = v6(kernels=traffic_kernels(10.0))
+    bw_base = v8(kernels=traffic_kernels(10.0))
     out = []
-    code = _run_compare(bw_base, v6(kernels=traffic_kernels(5.0)),
+    code = _run_compare(bw_base, v8(kernels=traffic_kernels(5.0)),
                         capture=out)
     check("BANDWIDTH- flagged advisory",
           code == 0 and "BANDWIDTH-" in out[0])
     out = []
-    code = _run_compare(bw_base, v6(kernels=traffic_kernels(9.0)),
+    code = _run_compare(bw_base, v8(kernels=traffic_kernels(9.0)),
                         capture=out)
     check("bandwidth within tolerance unflagged",
           code == 0 and "BANDWIDTH-" not in out[0])
     out = []
-    code = _run_compare(bw_base, v6(kernels=traffic_kernels(20.0)),
+    code = _run_compare(bw_base, v8(kernels=traffic_kernels(20.0)),
                         capture=out)
     check("bandwidth improvement unflagged",
           code == 0 and "BANDWIDTH-" not in out[0])
     out = []
-    code = _run_compare(base, v6(kernels=traffic_kernels(5.0)), capture=out)
+    code = _run_compare(base, v8(kernels=traffic_kernels(5.0)), capture=out)
     check("bandwidth skipped when baseline lacks traffic model",
           code == 0 and "BANDWIDTH-" not in out[0])
     # record_bandwidth reconstructs the aggregate rate exactly.
     bw = record_bandwidth(bw_base["records"][0])
     check("record bandwidth reconstructed",
           bw is not None and 9.99 < bw < 10.01)
-    # Deterministic regressions in a v6 report still gate.
-    check("v6 LAUNCHES+ still gates",
-          _run_compare(v6(), v6(launches=6)) == 1)
 
-    # v7 reports: meta.graph_replay (did the runs execute under launch-graph
-    # capture & replay) plus per-kernel graphed/barrier_intervals fields.
-    # The replay-vs-eager identity gate in CI is exactly this comparison:
-    # the meta mismatch warns, LAUNCHES+/COLORS+ still gate, and the
-    # advisory BARRIERS- lane quantifies the elision savings.
-    def v7(replay=False, kernels=None, launches=5):
-        return _doc([_record(kernels=kernels, launches=launches)],
-                    schema="gcol-bench-v7",
-                    meta={"workers": 1, "streams": 0, "simd": "avx2",
-                          "reorder": "identity", "hw_counters": False,
-                          "peak_gbps": 25.0, "graph_replay": replay})
-    check("v7 schema accepted", "gcol-bench-v7" in ACCEPTED_SCHEMAS)
-    check("v7 vs v7 compares", _run_compare(v7(), v7()) == 0)
-    out = []
-    code = _run_compare(v7(replay=False), v7(replay=True), capture=out)
-    check("meta.graph_replay mismatch warned, not gated",
-          code == 0 and "meta.graph_replay" in out[0])
-
-    def barrier_kernels(intervals=None, launches=5):
-        stat = {"launches": launches, "items": 100, "total_ms": 9.0}
-        if intervals is not None:
-            stat["graphed"] = launches
-            stat["barrier_intervals"] = intervals
-        return {"k": stat}
-    eager = v7(kernels=barrier_kernels())
-    replayed = v7(replay=True, kernels=barrier_kernels(intervals=2))
-    out = []
-    code = _run_compare(eager, replayed, capture=out)
-    check("BARRIERS- flagged advisory",
-          code == 0 and "BARRIERS-" in out[0])
-    check("barriers summary printed",
-          "total worker barriers (common pairs): 5->2" in out[0])
-    out = []
-    code = _run_compare(eager, v7(kernels=barrier_kernels()), capture=out)
-    check("equal barriers unflagged",
-          code == 0 and "BARRIERS-" not in out[0])
-    # Pre-v7 kernels (no barrier_intervals key) paid one barrier per launch.
-    check("barrier_intervals defaults to launches",
-          record_barriers(eager["records"][0]) == 5)
-    check("barriers lane skipped without kernel table",
-          record_barriers(_record()) is None)
-    check("v7 LAUNCHES+ still gates",
-          _run_compare(v7(), v7(launches=6)) == 1)
+    # v7 reports (the committed BENCH pair) still diff against v8.
+    v7 = v8()
+    v7["schema"] = "gcol-bench-v7"
+    check("v7 vs v8 compares", _run_compare(v7, v8()) == 0)
+    check("v7 LAUNCHES+ still gates against v8",
+          _run_compare(v7, v8(launches=6)) == 1)
+    # Older schemas are refused.
+    check("v6 schema refused", "gcol-bench-v6" not in ACCEPTED_SCHEMAS)
 
     if failures:
         print(f"self-test FAILED: {len(failures)} case(s)")
@@ -681,8 +540,7 @@ def main() -> int:
     parser.add_argument("--gate", action="store_true",
                         help="exit non-zero on deterministic regressions "
                              "(LAUNCHES+/COLORS+/INVALID; SLOWER, "
-                             "IMBALANCE+, BANDWIDTH- and BARRIERS- stay "
-                             "advisory)")
+                             "IMBALANCE+ and BANDWIDTH- stay advisory)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the script's own unit tests and exit")
     args = parser.parse_args()

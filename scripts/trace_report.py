@@ -19,13 +19,7 @@ out.json`) and prints these tables:
      occupancy-adaptive heuristic actually chose over the run;
   4. imbalance table — kernels ranked by time-weighted max/mean busy ratio,
      the straggler evidence behind the paper's load-balancing argument;
-  5. replayed launch graphs (only when the run used --graph-replay) — per
-     recorded graph, the node count, barrier intervals per replay
-     (interval_head spans / replays), barriers elided per replay, how many
-     times it replayed, and total time — the trace-level evidence for what
-     dependency-driven barrier elision bought (DESIGN.md §3i), plus a
-     totals line with the whole-run elision percentage;
-  6. per-phase breakdown — total time and span count per phase name
+  5. per-phase breakdown — total time and span count per phase name
      (ScopedPhase annotations: algorithm rounds, datasets, runs), computed
      on self time so nested phases don't double-count their parents.
 
@@ -145,15 +139,6 @@ def check(path: str) -> int:
                         f"event {i}: kernel span '{e.get('name')}' has "
                         "half a traffic model (bytes_read xor "
                         "bytes_written)")
-                # Replayed spans stamp graph identity as a trio; a partial
-                # set means the replay path dropped an arg.
-                graph_args = [a for a in ("graph", "graph_node",
-                                          "interval_head") if a in args]
-                if graph_args and len(graph_args) != 3:
-                    problems.append(
-                        f"event {i}: kernel span '{e.get('name')}' has "
-                        "partial graph-replay args: "
-                        f"{', '.join(graph_args)}")
             # Kernel launches are serial (one host thread), so kernel-track
             # spans must not overlap; same for each worker track.
             if ts is not None and dur is not None and \
@@ -198,14 +183,6 @@ def report(path: str, top: int, csv_path: str | None = None) -> int:
                  "llc_loads": 0, "llc_misses": 0, "branch_misses": 0})
     directions: dict[str, dict] = defaultdict(
         lambda: {"launches": 0, "items": 0, "ms": 0.0})
-    # Replayed launch graphs: spans stamped with graph/graph_node/
-    # interval_head args (only under --graph-replay; eager traces have
-    # none). One replay visits node 0 exactly once, so replays = node-0
-    # span count; every interval head paid one barrier, every other span
-    # rode its head's barrier for free.
-    graphs: dict[int, dict] = defaultdict(
-        lambda: {"nodes": 0, "spans": 0, "replays": 0,
-                 "interval_heads": 0, "ms": 0.0})
     phase_spans: list[tuple[str, float, float]] = []  # (name, ts, dur)
 
     for e in events:
@@ -238,15 +215,6 @@ def report(path: str, top: int, csv_path: str | None = None) -> int:
             for counter in ("cycles", "instructions", "llc_loads",
                             "llc_misses", "branch_misses"):
                 k[counter] += args.get(counter, 0)
-            if "graph" in args:
-                g = graphs[args["graph"]]
-                g["spans"] += 1
-                g["nodes"] = max(g["nodes"], args.get("graph_node", 0) + 1)
-                if args.get("graph_node", 0) == 0:
-                    g["replays"] += 1
-                if args.get("interval_head"):
-                    g["interval_heads"] += 1
-                g["ms"] += dur_ms
         elif tid == PHASE_TID:
             phase_spans.append((e["name"], e.get("ts", 0.0),
                                 e.get("dur", 0.0)))
@@ -344,27 +312,6 @@ def report(path: str, top: int, csv_path: str | None = None) -> int:
                                            key=lambda t: -t[2])[:top]:
             print(f"{name:<32} {ratio:>8.2f} {100.0 * wait:>5.1f}% "
                   f"{k['ms']:>9.2f} {k['launches']:>8}")
-
-    if graphs:
-        total_spans = sum(g["spans"] for g in graphs.values())
-        total_heads = sum(g["interval_heads"] for g in graphs.values())
-        print(f"\n== replayed launch graphs ({len(graphs)} graphs, "
-              f"{total_spans} replayed launches) ==")
-        header = (f"{'graph':>5} {'nodes':>6} {'intervals':>9} "
-                  f"{'elided':>7} {'replays':>8} {'total ms':>9}")
-        print(header)
-        print("-" * len(header))
-        for graph_id, g in sorted(graphs.items()):
-            replays = max(g["replays"], 1)
-            intervals = g["interval_heads"] / replays
-            print(f"{graph_id:>5} {g['nodes']:>6} {intervals:>9.1f} "
-                  f"{g['nodes'] - intervals:>7.1f} {g['replays']:>8} "
-                  f"{g['ms']:>9.2f}")
-        if total_spans:
-            elided = total_spans - total_heads
-            print(f"barriers elided by replay: {elided} of {total_spans} "
-                  f"({100.0 * elided / total_spans:.1f}%) — eager execution "
-                  "pays one barrier per launch, replay one per interval")
 
     if phase_spans:
         # Self time: subtract each phase span's directly-nested children so

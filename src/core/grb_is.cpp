@@ -1,12 +1,12 @@
 #include "core/grb_is.hpp"
 
+#include <span>
 #include <vector>
 
 #include "core/grb_common.hpp"
 #include "core/verify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
@@ -35,53 +35,12 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // Launch-graph replay (DESIGN.md §3i): the selection pipeline rebuilds its
-  // vectors through write_back's fresh buffers and stays eager, but c and
-  // weight are dense with stable storage, so the two trailing masked assigns
-  // (write_back + count_if each: four barriers) become one recorded in-place
-  // node. The round's frontier mirror doubles as the succ reduction
-  // (mirror_count), absorbing the reduce_cast + sim::reduce pair too: the
-  // eager round tail's six barriers collapse to two (mirror + replay).
-  sim::LaunchGraph assign_graph;
-  std::vector<std::uint8_t> active;
-  std::int32_t round_color = 0;
-  bool replay_assign = options.graph_replay &&
-                       c.storage() == grb::Storage::kDense &&
-                       weight.storage() == grb::Storage::kDense;
-  if (replay_assign) {
-    active.assign(static_cast<std::size_t>(n), 0);
-    std::int32_t* c_data = c.dense_values().data();
-    Weight* w_data = weight.dense_values().data();
-    const std::uint8_t* active_ptr = active.data();
-    const std::int32_t* color_cell = &round_color;
-    device.begin_capture(assign_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(active_ptr, n)
-            .reads(color_cell, static_cast<std::int64_t>(sizeof(std::int32_t)))
-            .writes_aligned(c_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(std::int32_t)),
-                            n)
-            .writes_aligned(w_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(Weight)),
-                            n));
-    device.launch(
-        "grb_is::assign_colors", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (active_ptr[ui] != 0) {
-            c_data[ui] = *color_cell;
-            w_data[ui] = Weight{0};
-          }
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: the mask byte; the masked stores are data-dependent
-        // and excluded (structural floor, like grb::write_back).
-        sim::Traffic{1, 0});
-    device.end_capture();
-  }
+  // Fused round tail: mirror_count doubles as the succ reduction and
+  // assign_active replaces the two masked assigns, so the tail's six
+  // barriers (reduce_cast + sim::reduce, then a write_back + count_if pair
+  // per assign) become two. c and weight are dense throughout; the frontier
+  // is dense or bitmap, as every GraphBLAS op's write_back leaves it.
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
 
   std::int64_t colored_total = 0;
   for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
@@ -94,30 +53,21 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
     detail::booleanize(frontier);
     // Stop when the frontier is empty (l.11-15). The plus-reduce over the
     // 0/1 frontier doubles as the independent-set size for the metrics.
-    Weight succ = 0;
-    const bool round_replays = replay_assign && !frontier.is_sparse();
-    if (round_replays) {
-      succ = static_cast<Weight>(detail::mirror_count(
-          device, "grb_is::sync_frontier", frontier, active));
-    } else {
-      grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
-    }
+    const std::int64_t succ =
+        detail::mirror_count(device, "grb_is::sync_frontier", frontier, active);
     if (succ == 0) break;
     result.metrics.push("frontier", n - colored_total);
-    colored_total += static_cast<std::int64_t>(succ);
+    colored_total += succ;
     result.metrics.push("colored", colored_total);
     result.metrics.push("colors_opened", color);
     // Assign new color; remove colored nodes from candidates (l.17-19).
-    if (round_replays) {
-      round_color = color;
-      device.replay(assign_graph);
-    } else {
-      grb::assign(c, &frontier, color);
-      grb::assign(weight, &frontier, Weight{0});
-      // write_back may have adopted fresh buffers for c / weight; the
-      // recorded pointers are stale from here on, so stay eager.
-      replay_assign = false;
-    }
+    const std::span<std::int32_t> cv = c.dense_values();
+    const std::span<Weight> wv = weight.dense_values();
+    detail::assign_active(device, "grb_is::assign_colors", active,
+                          [&](std::size_t i) {
+                            cv[i] = color;
+                            wv[i] = Weight{0};
+                          });
     ++result.iterations;
   }
 

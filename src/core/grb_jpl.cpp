@@ -1,8 +1,8 @@
 #include "core/grb_jpl.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "core/grb_common.hpp"
 #include "core/palette.hpp"
@@ -11,7 +11,6 @@
 #include "obs/trace.hpp"
 #include "sim/advance.hpp"
 #include "sim/bitops.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/scratch.hpp"
 #include "sim/simd.hpp"
 #include "sim/timer.hpp"
@@ -84,10 +83,11 @@ std::int32_t jp_min_color_pure(const grb::Matrix<Weight>& a,
 /// shape of every reduce — takes the lowest zero bit >= 1. Colors assigned
 /// so far are <= max_color, so a window of max_color + 2 bits always
 /// contains the answer; scratch is O(workers * max_color / 64) words
-/// instead of the pure path's three O(n) vectors.
+/// instead of the pure path's three O(n) vectors. `active` is the frontier
+/// as mirror_count left it (one byte per vertex, set = member).
 std::int32_t jp_min_color_fused(sim::Device& device, const graph::Csr& csr,
                                 const grb::Vector<std::int32_t>& c,
-                                const grb::Vector<Weight>& frontier,
+                                std::span<const std::uint8_t> active,
                                 std::int32_t max_color) {
   const std::span<const std::int32_t> cv = c.dense_values();
   const std::size_t words =
@@ -97,32 +97,11 @@ std::int32_t jp_min_color_fused(sim::Device& device, const graph::Csr& csr,
       sim::ScratchLane::kPalette, words * workers);
   sim::simd::fill(masks, 0);
 
-  // Frontier membership by VALUE (Boolean semiring semantics: a 0-valued
-  // entry contributes nothing), across any storage representation.
-  const bool f_sparse = frontier.is_sparse();
-  const bool f_bitmap = frontier.is_bitmap();
-  const std::span<const Weight> f_vals =
-      f_sparse ? frontier.sparse_values() : frontier.dense_values();
-  const std::span<const grb::Index> f_idx =
-      f_sparse ? frontier.sparse_indices() : std::span<const grb::Index>{};
-  const std::span<const std::uint8_t> f_present =
-      f_bitmap ? frontier.bitmap_present() : std::span<const std::uint8_t>{};
-  const auto active = [&](std::int64_t v) noexcept {
-    if (f_sparse) {
-      const auto it = std::lower_bound(f_idx.begin(), f_idx.end(),
-                                       static_cast<grb::Index>(v));
-      return it != f_idx.end() && *it == static_cast<grb::Index>(v) &&
-             f_vals[static_cast<std::size_t>(it - f_idx.begin())] != 0;
-    }
-    if (f_bitmap && f_present[static_cast<std::size_t>(v)] == 0) return false;
-    return f_vals[static_cast<std::size_t>(v)] != 0;
-  };
-
   sim::for_each_segment_range_slotted<eid_t>(
       device, "grb::jpl_forbidden", csr.row_offsets,
       [&](unsigned slot, std::int64_t s, std::int64_t local_begin,
           std::int64_t local_end, std::int64_t global_begin) {
-        if (!active(s)) return;
+        if (active[static_cast<std::size_t>(s)] == 0) return;
         std::uint64_t* mask = masks.data() + slot * words;
         for (std::int64_t k = local_begin; k < local_end; ++k) {
           const auto p =
@@ -187,57 +166,10 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // Launch-graph replay (DESIGN.md §3i): the GraphBLAS round rebuilds its
-  // vectors through write_back, which adopts a FRESH buffer every call — no
-  // stable pointers to record, so the selection pipeline stays eager (the
-  // design's automatic fallback). What IS stable are c and weight once
-  // dense: under --graph-replay the two trailing masked assigns become one
-  // recorded in-place node (identical masked-assign semantics — c and
-  // weight provably stay dense either way) fed by a mirror of the round's
-  // frontier whose one launch also computes the succ reduction
-  // (detail::mirror_count), so the eager round tail — reduce_cast +
-  // sim::reduce + two write_back + count pairs, six barriers — becomes
-  // mirror + replay: two.
-  sim::LaunchGraph assign_graph;
-  std::vector<std::uint8_t> active;
-  std::int32_t round_color = 0;
-  bool replay_assign = options.graph_replay &&
-                       c.storage() == grb::Storage::kDense &&
-                       weight.storage() == grb::Storage::kDense;
-  if (replay_assign) {
-    active.assign(static_cast<std::size_t>(n), 0);
-    std::int32_t* c_data = c.dense_values().data();
-    Weight* w_data = weight.dense_values().data();
-    const std::uint8_t* active_ptr = active.data();
-    const std::int32_t* color_cell = &round_color;
-    device.begin_capture(assign_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(active_ptr, n)
-            .reads(color_cell, static_cast<std::int64_t>(sizeof(std::int32_t)))
-            .writes_aligned(c_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(std::int32_t)),
-                            n)
-            .writes_aligned(w_data,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(Weight)),
-                            n));
-    device.launch(
-        "grb_jpl::assign_colors", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (active_ptr[ui] != 0) {
-            c_data[ui] = *color_cell;
-            w_data[ui] = Weight{0};
-          }
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: the mask byte; the masked stores are data-dependent
-        // and excluded (structural floor, like grb::write_back).
-        sim::Traffic{1, 0});
-    device.end_capture();
-  }
+  // Fused round tail, as in grb_is: mirror_count doubles as the succ
+  // reduction and assign_active replaces the two masked assigns (six
+  // barriers become two).
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
 
   std::int64_t colored_total = 0;
   std::int32_t max_color = 0;
@@ -247,32 +179,23 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
     grb::vxm(max, nullptr, grb::max_times_semiring<Weight>(), weight, a);
     grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);
     detail::booleanize(frontier);
-    Weight succ = 0;
-    const bool round_replays = replay_assign && !frontier.is_sparse();
-    if (round_replays) {
-      succ = static_cast<Weight>(detail::mirror_count(
-          device, "grb_jpl::sync_frontier", frontier, active));
-    } else {
-      grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
-    }
+    const std::int64_t succ = detail::mirror_count(
+        device, "grb_jpl::sync_frontier", frontier, active);
     if (succ == 0) break;
     // GRAPHBLASJPINNER replaces the fresh color with the minimum available.
     const std::int32_t min_color =
         options.bit_packed_palette
-            ? jp_min_color_fused(device, csr, c, frontier, max_color)
+            ? jp_min_color_fused(device, csr, c, active, max_color)
             : jp_min_color_pure(a, c, frontier, *pure);
-    if (round_replays) {
-      round_color = min_color;
-      device.replay(assign_graph);
-    } else {
-      grb::assign(c, &frontier, min_color);
-      grb::assign(weight, &frontier, Weight{0});
-      // write_back may have adopted fresh buffers for c / weight; the
-      // recorded pointers are stale from here on, so stay eager.
-      replay_assign = false;
-    }
+    const std::span<std::int32_t> cv = c.dense_values();
+    const std::span<Weight> wv = weight.dense_values();
+    detail::assign_active(device, "grb_jpl::assign_colors", active,
+                          [&](std::size_t i) {
+                            cv[i] = min_color;
+                            wv[i] = Weight{0};
+                          });
     result.metrics.push("frontier", n - colored_total);
-    colored_total += static_cast<std::int64_t>(succ);
+    colored_total += succ;
     result.metrics.push("colored", colored_total);
     if (min_color > max_color) max_color = min_color;
     result.metrics.push("colors_opened", max_color);

@@ -1,14 +1,13 @@
 #include "core/grb_mis.hpp"
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/grb_common.hpp"
 #include "core/verify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
@@ -17,43 +16,16 @@ namespace {
 
 using detail::Weight;
 
-/// Launch-graph replay state for Algorithm 3 (DESIGN.md §3i). The selection
-/// pipeline (vxm / eWiseAdd / booleanize) rebuilds its vectors through
-/// write_back's fresh buffers and stays eager; what IS stable are the four
-/// in-place targets of the masked assigns — mis, cand, c, weight — once
-/// dense. Three one-node graphs are recorded over them:
-///
-///   member:   mis[i] = 1, cand[i] = 0   where the frontier mirror is set
-///   knockout: cand[i] = 0               where the nbr mirror is set
-///   color:    c[i] = *color, weight[i] = 0  where the mis mirror is set
-///
-/// The frontier/mis mirrors double as the succ/size reductions
-/// (mirror_count), so each eager "reduce + assign pair" tail (six barriers)
-/// collapses to mirror + replay (two). The nbr knockout stays at two
-/// barriers (mirror + replay vs write_back + count_if) — recorded not for
-/// savings but because an eager masked assign would adopt a fresh cand
-/// buffer and stale the member graph's recorded pointer.
-struct MisReplay {
-  sim::LaunchGraph member_graph, knockout_graph, color_graph;
-  std::vector<std::uint8_t> active_frontier, active_nbr, active_mis;
-  std::int32_t round_color = 0;
-};
-
 /// Algorithm 3 inner loop: grows `mis` to a maximal independent set of the
-/// subgraph induced by cand's nonzero entries. `cand` is consumed. Returns
-/// false when a non-mirrorable (sparse) round forced an eager masked assign
-/// — the recorded buffers are stale and the caller must stay eager too.
-bool mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
+/// subgraph induced by cand's nonzero entries. `cand` is consumed. Each
+/// masked update is the fused tail: mirror_count of the frontier (or
+/// neighbor set) into `active`, then one in-place assign_active launch.
+/// mis and cand are dense throughout (filled, copied, then updated in place).
+void mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
                grb::Vector<Weight>& cand, grb::Vector<Weight>& mis,
                grb::Vector<Weight>& max, grb::Vector<Weight>& frontier,
-               grb::Vector<Weight>& nbr, MisReplay* replay) {
-  if (replay != nullptr) {
-    // In-place refresh: mis is already dense; vector fill/assignment could
-    // reallocate and stale the recorded pointers.
-    std::ranges::fill(mis.dense_values(), Weight{0});
-  } else {
-    grb::assign(mis, nullptr, Weight{0});
-  }
+               grb::Vector<Weight>& nbr, std::span<std::uint8_t> active) {
+  grb::assign(mis, nullptr, Weight{0});
   for (;;) {
     // Find max of remaining candidates' neighbors, masked to candidates
     // (Alg. 3 l.6). The temporary must be cleared: masked writes leave
@@ -65,32 +37,23 @@ bool mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
     detail::booleanize(frontier);
     // Stop when no new members joined (l.14-17); add members to the set and
     // drop them from the candidates otherwise (l.10-12).
-    if (replay != nullptr && !frontier.is_sparse()) {
-      const std::int64_t succ = detail::mirror_count(
-          device, "grb_mis::sync_frontier", frontier, replay->active_frontier);
-      if (succ == 0) return true;
-      device.replay(replay->member_graph);
-    } else {
-      Weight succ = 0;
-      grb::reduce(&succ, grb::plus_monoid<Weight>(), frontier);
-      // A bare reduce does not touch the recorded buffers, so an empty
-      // sparse frontier exits with replay validity unchanged.
-      if (succ == 0) return replay != nullptr;
-      grb::assign(mis, &frontier, Weight{1});
-      grb::assign(cand, &frontier, Weight{0});
-      replay = nullptr;  // mis/cand may have adopted fresh buffers
+    if (detail::mirror_count(device, "grb_mis::sync_frontier", frontier,
+                             active) == 0) {
+      return;
     }
+    const std::span<Weight> mv = mis.dense_values();
+    const std::span<Weight> cv = cand.dense_values();
+    detail::assign_active(device, "grb_mis::assign_members", active,
+                          [&](std::size_t i) {
+                            mv[i] = Weight{1};
+                            cv[i] = Weight{0};
+                          });
     // Remove the new members' neighbors from the candidates (l.19-20).
     nbr.clear();
     grb::vxm(nbr, &cand, grb::boolean_semiring<Weight>(), frontier, a);
-    if (replay != nullptr && !nbr.is_sparse()) {
-      if (detail::mirror_count(device, "grb_mis::sync_nbr", nbr,
-                               replay->active_nbr) > 0) {
-        device.replay(replay->knockout_graph);
-      }
-    } else {
-      grb::assign(cand, &nbr, Weight{0});
-      replay = nullptr;  // cand may have adopted a fresh buffer
+    if (detail::mirror_count(device, "grb_mis::sync_nbr", nbr, active) > 0) {
+      detail::assign_active(device, "grb_mis::knockout_nbrs", active,
+                            [&](std::size_t i) { cv[i] = Weight{0}; });
     }
   }
 }
@@ -117,122 +80,33 @@ Coloring grb_mis_color(const graph::Csr& csr, const GrbMisOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  MisReplay replay_state;
-  MisReplay* replay = nullptr;
-  if (options.graph_replay && c.storage() == grb::Storage::kDense &&
-      weight.storage() == grb::Storage::kDense) {
-    replay = &replay_state;
-    // mis and cand become dense once, up front, so their buffers are stable
-    // for the recorded nodes; every later write goes through a replayed
-    // in-place store or std::ranges::fill/copy on the same storage.
-    mis.fill(Weight{0});
-    cand.fill(Weight{0});
-    replay->active_frontier.assign(static_cast<std::size_t>(n), 0);
-    replay->active_nbr.assign(static_cast<std::size_t>(n), 0);
-    replay->active_mis.assign(static_cast<std::size_t>(n), 0);
-    Weight* mis_data = mis.dense_values().data();
-    Weight* cand_data = cand.dense_values().data();
-    std::int32_t* c_data = c.dense_values().data();
-    Weight* w_data = weight.dense_values().data();
-    const std::uint8_t* f_ptr = replay->active_frontier.data();
-    const std::uint8_t* nbr_ptr = replay->active_nbr.data();
-    const std::uint8_t* mis_ptr = replay->active_mis.data();
-    const std::int32_t* color_cell = &replay->round_color;
-    const auto vec_bytes = [n](std::size_t elem) {
-      return static_cast<std::int64_t>(n) * static_cast<std::int64_t>(elem);
-    };
-
-    device.begin_capture(replay->member_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(f_ptr, n)
-            .writes_aligned(mis_data, vec_bytes(sizeof(Weight)), n)
-            .writes_aligned(cand_data, vec_bytes(sizeof(Weight)), n));
-    device.launch(
-        "grb_mis::assign_members", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (f_ptr[ui] != 0) {
-            mis_data[ui] = Weight{1};
-            cand_data[ui] = Weight{0};
-          }
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: the mask byte; the masked stores are data-dependent
-        // and excluded (structural floor, like grb::write_back).
-        sim::Traffic{1, 0});
-    device.end_capture();
-
-    device.begin_capture(replay->knockout_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(nbr_ptr, n)
-            .writes_aligned(cand_data, vec_bytes(sizeof(Weight)), n));
-    device.launch(
-        "grb_mis::knockout_nbrs", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (nbr_ptr[ui] != 0) cand_data[ui] = Weight{0};
-        },
-        sim::Schedule::kStatic, 0, nullptr, sim::Traffic{1, 0});
-    device.end_capture();
-
-    device.begin_capture(replay->color_graph);
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads(mis_ptr, n)
-            .reads(color_cell, static_cast<std::int64_t>(sizeof(std::int32_t)))
-            .writes_aligned(c_data, vec_bytes(sizeof(std::int32_t)), n)
-            .writes_aligned(w_data, vec_bytes(sizeof(Weight)), n));
-    device.launch(
-        "grb_mis::assign_colors", n,
-        [=](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          if (mis_ptr[ui] != 0) {
-            c_data[ui] = *color_cell;
-            w_data[ui] = Weight{0};
-          }
-        },
-        sim::Schedule::kStatic, 0, nullptr, sim::Traffic{1, 0});
-    device.end_capture();
-  }
+  // One mask mirror serves every fused tail: each is consumed by its
+  // assign_active before the next mirror_count overwrites it.
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
 
   std::int64_t colored_total = 0;
   for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
     const obs::ScopedPhase phase("grb_mis::round");
     // Inner loop operates on a copy: knocked-out neighbors must stay
     // colorable in later outer rounds.
-    if (replay != nullptr) {
-      // In-place refresh of the stable cand buffer (vector assignment could
-      // reallocate and stale the recorded pointers).
-      std::ranges::copy(weight.dense_values(), cand.dense_values().data());
-    } else {
-      cand = weight;
-    }
-    if (!mis_inner(device, a, cand, mis, max, frontier, nbr, replay)) {
-      replay = nullptr;
-    }
+    cand = weight;
+    mis_inner(device, a, cand, mis, max, frontier, nbr, active);
     // The MIS is empty only when no uncolored vertices remain. Summing the
     // 0/1 set vector gives the emptiness test and the set size in one pass.
-    Weight size = 0;
-    if (replay != nullptr) {
-      size = static_cast<Weight>(detail::mirror_count(
-          device, "grb_mis::sync_mis", mis, replay->active_mis));
-    } else {
-      grb::reduce(&size, grb::plus_monoid<Weight>(), mis);
-    }
+    const std::int64_t size =
+        detail::mirror_count(device, "grb_mis::sync_mis", mis, active);
     if (size == 0) break;
     result.metrics.push("frontier", n - colored_total);
-    colored_total += static_cast<std::int64_t>(size);
+    colored_total += size;
     result.metrics.push("colored", colored_total);
     result.metrics.push("colors_opened", color);
-    if (replay != nullptr) {
-      replay->round_color = color;
-      device.replay(replay->color_graph);
-    } else {
-      grb::assign(c, &mis, color);
-      grb::assign(weight, &mis, Weight{0});
-    }
+    const std::span<std::int32_t> cv = c.dense_values();
+    const std::span<Weight> wv = weight.dense_values();
+    detail::assign_active(device, "grb_mis::assign_colors", active,
+                          [&](std::size_t i) {
+                            cv[i] = color;
+                            wv[i] = Weight{0};
+                          });
     ++result.iterations;
   }
 

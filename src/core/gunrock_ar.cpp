@@ -11,8 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/bitops.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
@@ -79,62 +77,6 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   std::vector<vid_t> spare;  // sparse-list double buffer
   std::vector<std::uint64_t> spare_words;  // bitmap double buffer
 
-  // The round's iteration number rides in a host-written cell so the SAME
-  // operator closures serve the eager path and the captured replay graphs.
-  // The fused neighbor-reduce colors sources inline while other workers are
-  // still reading their neighborhoods, so (as in Algorithm 5 line 26) a
-  // neighbor racily colored THIS iteration must still contribute its
-  // priority — it was uncolored when the iteration began — or two adjacent
-  // extrema could both claim a color. Only earlier iterations' colors
-  // remove a neighbor from the comparison.
-  std::int32_t round_iteration = 0;
-
-  // ONE fused pass produces both extremes AND assigns the two mutually-
-  // exclusive independent sets' colors in its finalize (fused_minmax).
-  const auto mm_map = [&](vid_t /*src*/, vid_t u) {
-    const std::int32_t color = 2 * round_iteration;
-    const std::int32_t cu =
-        sim::atomic_load(colors[static_cast<std::size_t>(u)]);
-    if (cu != kUncolored && cu != color && cu != color + 1) {
-      return MinMaxPair{kNoNeighbor, kNoNeighborMin};
-    }
-    const std::int64_t p = priority_of(u);
-    return MinMaxPair{p, p};
-  };
-  const auto mm_reduce = [](MinMaxPair a, MinMaxPair b) {
-    return MinMaxPair{b.max > a.max ? b.max : a.max,
-                      b.min < a.min ? b.min : a.min};
-  };
-  constexpr MinMaxPair mm_identity{kNoNeighbor, kNoNeighborMin};
-  const auto mm_finalize = [&](vid_t v, MinMaxPair extreme) {
-    const std::int32_t color = 2 * round_iteration;
-    const auto uv = static_cast<std::size_t>(v);
-    const std::int64_t mine = priority_of(v);
-    if (mine > extreme.max) {
-      sim::atomic_store(colors[uv], color);
-    } else if (mine < extreme.min) {
-      sim::atomic_store(colors[uv], color + 1);
-    }
-  };
-
-  // Same fusion, single extremum: segment-max the packed priorities and
-  // color the local maxima in the finalize (ColorRemovedOp inlined).
-  const auto max_map = [&](vid_t /*src*/, vid_t u) {
-    const std::int32_t cu =
-        sim::atomic_load(colors[static_cast<std::size_t>(u)]);
-    return cu == kUncolored || cu == round_iteration ? priority_of(u)
-                                                     : kNoNeighbor;
-  };
-  const auto max_reduce = [](std::int64_t a, std::int64_t b) {
-    return b > a ? b : a;
-  };
-  const auto max_finalize = [&](vid_t v, std::int64_t neighbor_max) {
-    const auto uv = static_cast<std::size_t>(v);
-    if (priority_of(v) > neighbor_max) {
-      sim::atomic_store(colors[uv], round_iteration);
-    }
-  };
-
   // Frontier rebuild predicate: still-uncolored vertices survive. colors[v]
   // is written only by v's own word owner, so the plain read never races.
   const auto survive_op = [&](vid_t v) {
@@ -144,138 +86,61 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   gr::Enactor enactor(device, options.max_iterations);
-  gr::EnactorStats stats;
-
-  if (options.graph_replay && bitmap) {
-    // Launch-graph replay (DESIGN.md §3i): only PULL rounds have a stable
-    // grid shape (one dense word pass + the word-owner filter), so those
-    // replay from a cache keyed on ping-pong parity and the filter's
-    // direction; the recorded reduction uses a static word partition — at
-    // one worker both schedules serialize identically, and the alignment
-    // lets the reduce and the filter fuse into ONE barrier interval (the
-    // finalize writes only the reduced member's own color). PUSH rounds
-    // (set-bit walks, and above the edge-work threshold the gather +
-    // merge-path engine, whose shapes depend on the round's frontier) wrap
-    // the raw buffers back into a Frontier and run the EXACT eager
-    // machinery — the two heap buffers survive the move round-trip, so
-    // previously captured pull graphs stay valid. This is the automatic
-    // shape-change fallback of the capture/replay design.
-    std::vector<std::uint64_t> words_cur = frontier.release_words();
-    std::vector<std::uint64_t> words_spare(words_cur.size(), 0);
-    std::vector<std::int64_t> counts(device.num_workers(), 0);
-    const auto num_words = static_cast<std::int64_t>(words_cur.size());
-    const std::int64_t word_bytes = num_words * gr::kWordBytes;
-    const std::int64_t color_bytes =
-        static_cast<std::int64_t>(un) *
-        static_cast<std::int64_t>(sizeof(std::int32_t));
-    const std::uint64_t* buf0 = words_cur.data();  // parity anchor
-    const double avg_degree = csr.average_degree();
-    sim::GraphCache cache;
-    std::int64_t size = n;
-    stats = enactor.enact([&](std::int32_t iteration) {
-      const obs::ScopedPhase phase("gunrock_ar::round");
-      round_iteration = iteration;
-      result.metrics.push("frontier", size);
-      const gr::Direction nr_dir = gr::resolve_direction(
-          options.frontier_mode, size, n, avg_degree);
-      if (nr_dir == gr::Direction::kPull) {
-        const std::uint64_t* in = words_cur.data();
-        std::uint64_t* out = words_spare.data();
-        // The eager filter_bits call below resolves without a degree hint,
-        // so mirror that here (pull only while the frontier is full).
-        const gr::Direction filter_dir =
-            gr::resolve_direction(options.frontier_mode, size, n);
-        const std::uint64_t key =
-            (in == buf0 ? 0u : 1u) |
-            (filter_dir == gr::Direction::kPull ? 2u : 0u);
-        sim::LaunchGraph* graph = cache.find(key);
-        if (graph == nullptr) {
-          graph = &cache.emplace(key);
-          const auto reduce_vertex = [&](vid_t v) {
-            if (options.fused_minmax) {
-              MinMaxPair acc = mm_identity;
-              for (const vid_t u : csr.neighbors(v)) {
-                acc = mm_reduce(acc, mm_map(v, u));
-              }
-              mm_finalize(v, acc);
-            } else {
-              std::int64_t acc = kNoNeighbor;
-              for (const vid_t u : csr.neighbors(v)) {
-                acc = max_reduce(acc, max_map(v, u));
-              }
-              max_finalize(v, acc);
-            }
-          };
-          device.begin_capture(*graph);
-          device.capture_footprint(
-              sim::Footprint{}
-                  .reads(in, word_bytes)
-                  .reads(random.data(), color_bytes)
-                  .reads_relaxed(colors, color_bytes)
-                  .writes_aligned(colors, color_bytes, num_words));
-          device.launch(
-              "gr::nr_pull", num_words,
-              [in, reduce_vertex](std::int64_t w) {
-                const std::uint64_t word = in[static_cast<std::size_t>(w)];
-                const std::int64_t base = w * sim::kBitsPerWord;
-                for (std::int64_t b = 0; b < sim::kBitsPerWord; ++b) {
-                  if ((word >> b) & 1u) {
-                    reduce_vertex(static_cast<vid_t>(base + b));
-                  }
-                }
-              },
-              sim::Schedule::kStatic, 0, "pull");
-          device.capture_footprint(
-              sim::Footprint{}
-                  .reads(in, word_bytes)
-                  .reads_aligned(colors, color_bytes, num_words)
-                  .writes(out, word_bytes)
-                  .writes(counts.data(),
-                          static_cast<std::int64_t>(counts.size() *
-                                                    sizeof(std::int64_t))));
-          gr::filter_bits_recorded(device, in, out, num_words, counts.data(),
-                                   filter_dir, survive_op);
-          device.end_capture();
-        }
-        device.replay(*graph);
-        size = 0;
-        for (const std::int64_t c : counts) size += c;
-        std::swap(words_cur, words_spare);
-      } else {
-        gr::Frontier f = gr::Frontier::bits(std::move(words_cur), size, n,
-                                            options.frontier_mode);
-        if (options.fused_minmax) {
-          gr::neighbor_reduce_bits<MinMaxPair>(device, csr, f, mm_map,
-                                               mm_reduce, mm_identity,
-                                               mm_finalize);
-        } else {
-          gr::neighbor_reduce_bits<std::int64_t>(device, csr, f, max_map,
-                                                 max_reduce, kNoNeighbor,
-                                                 max_finalize);
-        }
-        gr::Frontier next =
-            gr::filter_bits(device, f, std::move(words_spare), survive_op);
-        size = next.size();
-        words_spare = f.release_words();
-        words_cur = next.release_words();
-      }
-      result.metrics.push("colored", n - size);
-      result.metrics.push("colors_opened",
-                          options.fused_minmax ? 2 * (iteration + 1)
-                                               : iteration + 1);
-      return size > 0;
-    });
-
-    result.elapsed_ms = watch.elapsed_ms();
-    result.iterations = stats.iterations;
-    result.kernel_launches = device.launch_count() - launches_before;
-    result.num_colors = count_colors(result.colors);
-    return result;
-  }
-
-  stats = enactor.enact([&](std::int32_t iteration) {
+  const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
     const obs::ScopedPhase phase("gunrock_ar::round");
-    round_iteration = iteration;
+    // The fused neighbor-reduce colors sources inline while other workers
+    // are still reading their neighborhoods, so (as in Algorithm 5 line 26)
+    // a neighbor racily colored THIS iteration must still contribute its
+    // priority — it was uncolored when the iteration began — or two
+    // adjacent extrema could both claim a color. Only earlier iterations'
+    // colors remove a neighbor from the comparison.
+    //
+    // ONE fused pass produces both extremes AND assigns the two mutually-
+    // exclusive independent sets' colors in its finalize (fused_minmax).
+    const auto mm_map = [&](vid_t /*src*/, vid_t u) {
+      const std::int32_t color = 2 * iteration;
+      const std::int32_t cu =
+          sim::atomic_load(colors[static_cast<std::size_t>(u)]);
+      if (cu != kUncolored && cu != color && cu != color + 1) {
+        return MinMaxPair{kNoNeighbor, kNoNeighborMin};
+      }
+      const std::int64_t p = priority_of(u);
+      return MinMaxPair{p, p};
+    };
+    const auto mm_reduce = [](MinMaxPair a, MinMaxPair b) {
+      return MinMaxPair{b.max > a.max ? b.max : a.max,
+                        b.min < a.min ? b.min : a.min};
+    };
+    constexpr MinMaxPair mm_identity{kNoNeighbor, kNoNeighborMin};
+    const auto mm_finalize = [&](vid_t v, MinMaxPair extreme) {
+      const std::int32_t color = 2 * iteration;
+      const auto uv = static_cast<std::size_t>(v);
+      const std::int64_t mine = priority_of(v);
+      if (mine > extreme.max) {
+        sim::atomic_store(colors[uv], color);
+      } else if (mine < extreme.min) {
+        sim::atomic_store(colors[uv], color + 1);
+      }
+    };
+
+    // Same fusion, single extremum: segment-max the packed priorities and
+    // color the local maxima in the finalize (ColorRemovedOp inlined).
+    const auto max_map = [&](vid_t /*src*/, vid_t u) {
+      const std::int32_t cu =
+          sim::atomic_load(colors[static_cast<std::size_t>(u)]);
+      return cu == kUncolored || cu == iteration ? priority_of(u)
+                                                 : kNoNeighbor;
+    };
+    const auto max_reduce = [](std::int64_t a, std::int64_t b) {
+      return b > a ? b : a;
+    };
+    const auto max_finalize = [&](vid_t v, std::int64_t neighbor_max) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (priority_of(v) > neighbor_max) {
+        sim::atomic_store(colors[uv], iteration);
+      }
+    };
+
     result.metrics.push("frontier", frontier.size());
     if (options.fused_minmax) {
       if (bitmap) {

@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/reduce.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
@@ -106,78 +105,13 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
     return max_role ? 2 * iteration : 2 * iteration + 1;
   };
 
-  // The round's iteration number rides in a host-written cell so the SAME
-  // three operator closures serve the eager path and the captured replay
-  // graph (naumov's iteration-cell pattern).
-  std::int32_t round_iteration = 0;
-
-  // HashColorOp (Algorithm 6): every uncolored vertex proposes colors for
-  // the max- and min-priority members of {itself} U uncolored neighbors.
-  const auto propose_op = [&](vid_t v) {
-    const std::int32_t iteration = round_iteration;
-    const auto uv = static_cast<std::size_t>(v);
-    if (sim::atomic_load(colors[uv]) != kUncolored) return;
-    vid_t cand_max = v;
-    vid_t cand_min = v;
-    for (const vid_t u : csr.neighbors(v)) {
-      const auto uu = static_cast<std::size_t>(u);
-      if (sim::atomic_load(colors[uu]) != kUncolored) continue;
-      if (priority_less(random[static_cast<std::size_t>(cand_max)],
-                        tie_of(cand_max), random[uu], tie_of(u))) {
-        cand_max = u;
-      }
-      if (priority_less(random[uu], tie_of(u),
-                        random[static_cast<std::size_t>(cand_min)],
-                        tie_of(cand_min))) {
-        cand_min = u;
-      }
-    }
-    // Propose. Writes race between proposers; conflict resolution repairs
-    // any disagreement (the GPU implementation has the same property).
-    sim::atomic_store(colors[static_cast<std::size_t>(cand_max)],
-                      choose_color(cand_max, iteration, /*max_role=*/true));
-    sim::atomic_store(colored_iter[static_cast<std::size_t>(cand_max)],
-                      iteration);
-    if (cand_min != cand_max) {
-      sim::atomic_store(colors[static_cast<std::size_t>(cand_min)],
-                        choose_color(cand_min, iteration, /*max_role=*/false));
-      sim::atomic_store(colored_iter[static_cast<std::size_t>(cand_min)],
-                        iteration);
-    }
-  };
-
-  // Conflict-resolution operator: tentative vertices re-check their
-  // neighborhood; the lower-priority endpoint of a monochromatic edge
-  // (or the tentative endpoint, when the other is final) uncolors itself.
-  const auto conflict_op = [&](vid_t v) {
-    const std::int32_t iteration = round_iteration;
-    const auto uv = static_cast<std::size_t>(v);
-    if (sim::atomic_load(colored_iter[uv]) != iteration) return;
-    const std::int32_t cv = sim::atomic_load(colors[uv]);
-    if (cv == kUncolored) return;
-    for (const vid_t u : csr.neighbors(v)) {
-      const auto uu = static_cast<std::size_t>(u);
-      if (sim::atomic_load(colors[uu]) != cv) continue;
-      const std::int32_t u_iter = sim::atomic_load(colored_iter[uu]);
-      const bool u_final = u_iter != kUncolored && u_iter < iteration;
-      if (u_final ||
-          priority_less(random[uv], tie_of(v), random[uu], tie_of(u))) {
-        sim::atomic_store(colors[uv], kUncolored);
-        sim::atomic_store(colored_iter[uv], kUncolored);
-        lost_conflict[uv] = 1;
-        conflicts.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
   // Hash-generation operator: still-uncolored vertices record their
   // neighbors' colors as prohibited (bounded table; overflow ignored). The
-  // neighbor color reads are relaxed atomics: eagerly the conflict pass
-  // finished a launch earlier, but the fused replay interval below can
-  // uncolor a neighbor while another slot is already hashing — recording a
-  // color that later gets revoked only makes the bounded table more
-  // conservative (a skipped reuse candidate), never improper.
+  // neighbor color reads are relaxed atomics. The conflict pass finished a
+  // launch earlier, so they never race today; a relaxed load compiles to a
+  // plain load, and should a revoking write ever overlap a hashing slot,
+  // recording a color that later gets revoked only makes the bounded table
+  // more conservative (a skipped reuse candidate), never improper.
   const auto hashgen_op = [&](vid_t v) {
     const auto uv = static_cast<std::size_t>(v);
     if (colors[uv] != kUncolored) return;
@@ -211,109 +145,67 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   gr::Enactor enactor(device, options.max_iterations);
-  gr::EnactorStats stats;
-
-  if (options.graph_replay && bitmap) {
-    // Launch-graph replay (DESIGN.md §3i): the bitmap round is three fixed-
-    // shape word-granular kernels — propose, conflict-resolve, and the fused
-    // hashgen+rebuild filter. Propose writes colors/colored_iter of
-    // ARBITRARY vertices (the two candidates can be neighbors), so its
-    // exclusive-write footprint keeps it an interval of its own; conflict
-    // and the filter both confine their writes to the owning word partition
-    // (conflict uncolors only v itself, hashgen fills only v's own table
-    // row), so they fuse — three launches, TWO barrier intervals per round.
-    // At one worker replay is serial in record order and byte-identical to
-    // eager; at higher widths the algorithm is speculative either way.
-    std::vector<std::uint64_t> words_a = frontier.release_words();
-    std::vector<std::uint64_t> words_b(words_a.size(), 0);
-    std::vector<std::int64_t> counts(device.num_workers(), 0);
-    const auto num_words = static_cast<std::int64_t>(words_a.size());
-    const std::int64_t word_bytes = num_words * gr::kWordBytes;
-    const std::int64_t color_bytes =
-        static_cast<std::int64_t>(un) *
-        static_cast<std::int64_t>(sizeof(std::int32_t));
-    sim::GraphCache cache;
-    std::int64_t size = n;
-    bool flipped = false;
-    stats = enactor.enact([&](std::int32_t iteration) {
-      const obs::ScopedPhase phase("gunrock_hash::round");
-      round_iteration = iteration;
-      const std::uint64_t* in = (flipped ? words_b : words_a).data();
-      std::uint64_t* out = (flipped ? words_a : words_b).data();
-      const gr::Direction dir =
-          gr::resolve_direction(options.frontier_mode, size, n, avg_degree);
-      const std::uint64_t key =
-          (flipped ? 1u : 0u) | (dir == gr::Direction::kPull ? 2u : 0u);
-      sim::LaunchGraph* graph = cache.find(key);
-      if (graph == nullptr) {
-        graph = &cache.emplace(key);
-        const std::int64_t iter_bytes = color_bytes;  // colored_iter: n int32
-        device.begin_capture(*graph);
-        device.capture_footprint(sim::Footprint{}
-                                     .reads(in, word_bytes)
-                                     .reads_relaxed(colors, color_bytes)
-                                     .writes(colors, color_bytes)
-                                     .writes(colored_iter.data(), iter_bytes)
-                                     .reads(random.data(), color_bytes)
-                                     .reads(lost_conflict.data(), n)
-                                     .reads(hash_table.data(),
-                                            static_cast<std::int64_t>(
-                                                hash_table.size() *
-                                                sizeof(std::int32_t))));
-        gr::compute_bits_recorded(device, in, num_words, dir, propose_op);
-        device.capture_footprint(
-            sim::Footprint{}
-                .reads(in, word_bytes)
-                .reads_relaxed(colors, color_bytes)
-                .writes_aligned(colors, color_bytes, num_words)
-                .reads_relaxed(colored_iter.data(), iter_bytes)
-                .writes_aligned(colored_iter.data(), iter_bytes, num_words)
-                .writes_aligned(lost_conflict.data(), n, num_words)
-                .reads(random.data(), color_bytes));
-        gr::compute_bits_recorded(device, in, num_words, dir, conflict_op);
-        device.capture_footprint(
-            sim::Footprint{}
-                .reads(in, word_bytes)
-                .reads_relaxed(colors, color_bytes)
-                .writes_aligned(hash_table.data(),
-                                static_cast<std::int64_t>(
-                                    hash_table.size() * sizeof(std::int32_t)),
-                                num_words)
-                .writes(out, word_bytes)
-                .writes(counts.data(),
-                        static_cast<std::int64_t>(counts.size() *
-                                                  sizeof(std::int64_t))));
-        gr::filter_bits_recorded(device, in, out, num_words, counts.data(),
-                                 dir, survive_op);
-        device.end_capture();
-      }
-      device.replay(*graph);
-      size = 0;
-      for (const std::int64_t c : counts) size += c;
-      flipped = !flipped;
-      const std::int64_t colored = n - size;
-      const std::int64_t conflicts_now =
-          conflicts.load(std::memory_order_relaxed);
-      result.metrics.push("frontier", n - prev_colored);
-      result.metrics.push("colored", colored);
-      result.metrics.push("colors_opened", 2 * (iteration + 1));
-      result.metrics.push("conflicts", conflicts_now - prev_conflicts);
-      prev_colored = colored;
-      prev_conflicts = conflicts_now;
-      return colored < n;
-    });
-
-    result.elapsed_ms = watch.elapsed_ms();
-    result.iterations = stats.iterations;
-    result.kernel_launches = device.launch_count() - launches_before;
-    result.conflicts_resolved = conflicts.load(std::memory_order_relaxed);
-    result.num_colors = count_colors(result.colors);
-    return result;
-  }
-
-  stats = enactor.enact([&](std::int32_t iteration) {
+  const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
     const obs::ScopedPhase phase("gunrock_hash::round");
-    round_iteration = iteration;
+    // HashColorOp (Algorithm 6): every uncolored vertex proposes colors for
+    // the max- and min-priority members of {itself} U uncolored neighbors.
+    const auto propose_op = [&](vid_t v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (sim::atomic_load(colors[uv]) != kUncolored) return;
+      vid_t cand_max = v;
+      vid_t cand_min = v;
+      for (const vid_t u : csr.neighbors(v)) {
+        const auto uu = static_cast<std::size_t>(u);
+        if (sim::atomic_load(colors[uu]) != kUncolored) continue;
+        if (priority_less(random[static_cast<std::size_t>(cand_max)],
+                          tie_of(cand_max), random[uu], tie_of(u))) {
+          cand_max = u;
+        }
+        if (priority_less(random[uu], tie_of(u),
+                          random[static_cast<std::size_t>(cand_min)],
+                          tie_of(cand_min))) {
+          cand_min = u;
+        }
+      }
+      // Propose. Writes race between proposers; conflict resolution repairs
+      // any disagreement (the GPU implementation has the same property).
+      sim::atomic_store(colors[static_cast<std::size_t>(cand_max)],
+                        choose_color(cand_max, iteration, /*max_role=*/true));
+      sim::atomic_store(colored_iter[static_cast<std::size_t>(cand_max)],
+                        iteration);
+      if (cand_min != cand_max) {
+        sim::atomic_store(
+            colors[static_cast<std::size_t>(cand_min)],
+            choose_color(cand_min, iteration, /*max_role=*/false));
+        sim::atomic_store(colored_iter[static_cast<std::size_t>(cand_min)],
+                          iteration);
+      }
+    };
+
+    // Conflict-resolution operator: tentative vertices re-check their
+    // neighborhood; the lower-priority endpoint of a monochromatic edge
+    // (or the tentative endpoint, when the other is final) uncolors itself.
+    const auto conflict_op = [&](vid_t v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (sim::atomic_load(colored_iter[uv]) != iteration) return;
+      const std::int32_t cv = sim::atomic_load(colors[uv]);
+      if (cv == kUncolored) return;
+      for (const vid_t u : csr.neighbors(v)) {
+        const auto uu = static_cast<std::size_t>(u);
+        if (sim::atomic_load(colors[uu]) != cv) continue;
+        const std::int32_t u_iter = sim::atomic_load(colored_iter[uu]);
+        const bool u_final = u_iter != kUncolored && u_iter < iteration;
+        if (u_final ||
+            priority_less(random[uv], tie_of(v), random[uu], tie_of(u))) {
+          sim::atomic_store(colors[uv], kUncolored);
+          sim::atomic_store(colored_iter[uv], kUncolored);
+          lost_conflict[uv] = 1;
+          conflicts.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+      }
+    };
+
     gr::compute(device, frontier, propose_op, avg_degree);
     gr::compute(device, frontier, conflict_op, avg_degree);
 

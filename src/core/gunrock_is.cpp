@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
@@ -76,119 +75,47 @@ Coloring gunrock_is_color(const graph::Csr& csr,
   std::atomic<std::int64_t> colored_total{0};
   std::int64_t prev_colored = 0;
 
-  // ColorOp (Algorithm 5 lines 15-43): one thread per vertex, serial
-  // neighbor loop — deliberately NOT load balanced. The round's color base
-  // rides in a host-written cell so the SAME closure serves the eager path
-  // and the captured replay graph.
-  std::int32_t round_color = 0;  // 2 * iteration, set at each round's start
-  const auto color_op = [&](vid_t v) {
-    const auto uv = static_cast<std::size_t>(v);
-    if (colors[uv] != kUncolored) return;  // already colored
-    const std::int32_t color = round_color;
-    bool colormax = true;
-    bool colormin = options.min_max;
-    const std::int32_t rv = rand_of(v);
-    for (const vid_t u : csr.neighbors(v)) {
-      const auto uu = static_cast<std::size_t>(u);
-      // Skip neighbors finalized in earlier iterations; neighbors that
-      // (racily) took color+1/color+2 this round still participate in the
-      // comparison (Algorithm 5 line 26).
-      const std::int32_t cu = sim::atomic_load(colors[uu]);
-      if (cu != kUncolored && cu != color + 1 && cu != color + 2) continue;
-      const std::int32_t ru = rand_of(u);
-      if (!priority_less(ru, tie_of(u), rv, tie_of(v))) colormax = false;
-      if (!priority_less(rv, tie_of(v), ru, tie_of(u))) colormin = false;
-      if (!colormax && !colormin) break;
-    }
-    if (colormax) {
-      sim::atomic_store(colors[uv], color + 1);
-    } else if (colormin) {
-      sim::atomic_store(colors[uv], color + 2);
-    } else {
-      return;
-    }
-    if (options.use_atomics) {
-      colored_total.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  const auto survive_op = [&](vid_t v) {
-    color_op(v);
-    return colors[static_cast<std::size_t>(v)] == kUncolored;
-  };
-
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   gr::Enactor enactor(device, options.max_iterations);
-  gr::EnactorStats stats;
-
-  if (options.graph_replay && bitmap) {
-    // Launch-graph replay (DESIGN.md §3i): the bitmap round is already ONE
-    // fused word-owner launch, so replay saves per-round dispatch rather
-    // than barriers (like naumov). The cache keys on ping-pong parity and
-    // the occupancy-resolved direction; the color base reaches the recorded
-    // body through round_color.
-    std::vector<std::uint64_t> words_a = frontier.release_words();
-    std::vector<std::uint64_t> words_b(words_a.size(), 0);
-    std::vector<std::int64_t> counts(device.num_workers(), 0);
-    const auto num_words = static_cast<std::int64_t>(words_a.size());
-    const std::int64_t word_bytes = num_words * gr::kWordBytes;
-    const std::int64_t color_bytes =
-        static_cast<std::int64_t>(un) *
-        static_cast<std::int64_t>(sizeof(std::int32_t));
-    sim::GraphCache cache;
-    std::int64_t size = n;
-    bool flipped = false;
-    stats = enactor.enact([&](std::int32_t iteration) {
-      const obs::ScopedPhase phase("gunrock_is::round");
-      round_color = 2 * iteration;
-      const std::int64_t active = size;
-      const std::uint64_t* in = (flipped ? words_b : words_a).data();
-      std::uint64_t* out = (flipped ? words_a : words_b).data();
-      const gr::Direction dir =
-          gr::resolve_direction(options.frontier_mode, size, n, avg_degree);
-      const std::uint64_t key =
-          (flipped ? 1u : 0u) | (dir == gr::Direction::kPull ? 2u : 0u);
-      sim::LaunchGraph* graph = cache.find(key);
-      if (graph == nullptr) {
-        graph = &cache.emplace(key);
-        device.begin_capture(*graph);
-        device.capture_footprint(
-            sim::Footprint{}
-                .reads(in, word_bytes)
-                .reads_relaxed(colors, color_bytes)
-                .writes_aligned(colors, color_bytes, num_words)
-                .writes(out, word_bytes)
-                .writes(counts.data(),
-                        static_cast<std::int64_t>(counts.size() *
-                                                  sizeof(std::int64_t))));
-        gr::filter_bits_recorded(device, in, out, num_words, counts.data(),
-                                 dir, survive_op);
-        device.end_capture();
-      }
-      device.replay(*graph);
-      size = 0;
-      for (const std::int64_t c : counts) size += c;
-      flipped = !flipped;
-      const std::int64_t colored =
-          options.use_atomics ? colored_total.load(std::memory_order_relaxed)
-                              : n - size;
-      result.metrics.push("frontier", active);
-      result.metrics.push("colored", colored);
-      result.metrics.push("colors_opened", 2 * (iteration + 1));
-      prev_colored = colored;
-      return colored < n;
-    });
-
-    result.elapsed_ms = watch.elapsed_ms();
-    result.iterations = stats.iterations;
-    result.kernel_launches = device.launch_count() - launches_before;
-    result.num_colors = count_colors(result.colors);
-    return result;
-  }
-
-  stats = enactor.enact([&](std::int32_t iteration) {
+  const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
     const obs::ScopedPhase phase("gunrock_is::round");
-    round_color = 2 * iteration;
+    const std::int32_t color = 2 * iteration;
+    // ColorOp (Algorithm 5 lines 15-43): one thread per vertex, serial
+    // neighbor loop — deliberately NOT load balanced.
+    const auto color_op = [&](vid_t v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (colors[uv] != kUncolored) return;  // already colored
+      bool colormax = true;
+      bool colormin = options.min_max;
+      const std::int32_t rv = rand_of(v);
+      for (const vid_t u : csr.neighbors(v)) {
+        const auto uu = static_cast<std::size_t>(u);
+        // Skip neighbors finalized in earlier iterations; neighbors that
+        // (racily) took color+1/color+2 this round still participate in the
+        // comparison (Algorithm 5 line 26).
+        const std::int32_t cu = sim::atomic_load(colors[uu]);
+        if (cu != kUncolored && cu != color + 1 && cu != color + 2) continue;
+        const std::int32_t ru = rand_of(u);
+        if (!priority_less(ru, tie_of(u), rv, tie_of(v))) colormax = false;
+        if (!priority_less(rv, tie_of(v), ru, tie_of(u))) colormin = false;
+        if (!colormax && !colormin) break;
+      }
+      if (colormax) {
+        sim::atomic_store(colors[uv], color + 1);
+      } else if (colormin) {
+        sim::atomic_store(colors[uv], color + 2);
+      } else {
+        return;
+      }
+      if (options.use_atomics) {
+        colored_total.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    const auto survive_op = [&](vid_t v) {
+      color_op(v);
+      return colors[static_cast<std::size_t>(v)] == kUncolored;
+    };
 
     // Stop when all vertices hold a valid color (Algorithm 5 line 9). The
     // atomics variant reads its in-kernel counter after a plain compute;

@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
@@ -130,12 +129,12 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
   // snapshot-uncolored neighbor outranks it. Two adjacent vertices can
   // never color in the same round (one outranks the other in the shared
   // snapshot), so writes to `colors` never race with the reads below.
-  // Neighbor snapshot probes are relaxed atomics: eagerly the publish runs
-  // a launch later and never races, but the fused replay interval below can
-  // publish a neighbor's color while another slot is still probing — the
-  // async read its relaxed-read footprint declares. Coherence keeps it
-  // proper: once a probe sees a neighbor colored, the palette sweep's later
-  // load of the same entry sees that same final color and fits around it.
+  // Neighbor snapshot probes are relaxed atomics. The publish runs in the
+  // filter launch after this one, so they never race today; a relaxed load
+  // compiles to a plain load, and it keeps a probe well-defined should the
+  // publish ever share a launch with the color decisions. Coherence would
+  // keep that proper too: once a probe sees a neighbor colored, the palette
+  // sweep's later load of the same entry sees that same final color.
   const auto color_op = [&](vid_t v) {
     const auto uv = static_cast<std::size_t>(v);
     if (sim::atomic_load(snapshot[uv]) != kUncolored) return;
@@ -170,105 +169,30 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   gr::Enactor enactor(device, options.max_iterations);
-  gr::EnactorStats stats;
+  const gr::EnactorStats stats = enactor.enact([&](std::int32_t) {
+    const obs::ScopedPhase phase("jp::round");
+    result.metrics.push("frontier", frontier.size());
+    gr::compute(device, frontier, color_op, avg_degree);
 
-  if (options.graph_replay && bitmap) {
-    // Launch-graph replay (DESIGN.md §3i): a bitmap round is two fixed-shape
-    // word-granular kernels — compute (color decisions against the snapshot)
-    // and filter_bits (publish + frontier rebuild). Only two things vary
-    // round to round: which ping-pong buffer is the input and the occupancy-
-    // resolved direction, so rounds replay from a graph cache keyed on
-    // (parity, direction) — at most four graphs per run, captured on first
-    // miss. The declared footprints fuse each pair into ONE barrier
-    // interval: the filter's snapshot publishes and own-color reads are
-    // word-partition-aligned, the compute's neighbor snapshot probes are
-    // declared relaxed. Within a slot replay runs compute before filter;
-    // across slots a probe may see a neighbor's color published mid-round,
-    // which makes the round asynchronous — still a proper coloring (of two
-    // adjacent uncolored vertices exactly one outranks the other, and a
-    // probe that sees a fresh color first-fits around it; see color_op).
-    // At one worker the interval replays serially in record order and the
-    // colors are byte-identical to eager execution — what CI's identity
-    // gate checks; at higher widths colors may differ run to run, so tests
-    // verify properness instead, like the speculative algorithms.
-    std::vector<std::uint64_t> words_a = frontier.release_words();
-    std::vector<std::uint64_t> words_b(words_a.size(), 0);
-    std::vector<std::int64_t> counts(device.num_workers(), 0);
-    const auto num_words = static_cast<std::int64_t>(words_a.size());
-    const std::int64_t word_bytes = num_words * gr::kWordBytes;
-    const std::int64_t color_bytes =
-        static_cast<std::int64_t>(un) *
-        static_cast<std::int64_t>(sizeof(std::int32_t));
-    sim::GraphCache cache;
-    std::int64_t size = n;
-    bool flipped = false;
-    stats = enactor.enact([&](std::int32_t) {
-      const obs::ScopedPhase phase("jp::round");
-      result.metrics.push("frontier", size);
-      const std::uint64_t* in = (flipped ? words_b : words_a).data();
-      std::uint64_t* out = (flipped ? words_a : words_b).data();
-      const gr::Direction dir =
-          gr::resolve_direction(options.frontier_mode, size, n, avg_degree);
-      const std::uint64_t key =
-          (flipped ? 1u : 0u) | (dir == gr::Direction::kPull ? 2u : 0u);
-      sim::LaunchGraph* graph = cache.find(key);
-      if (graph == nullptr) {
-        graph = &cache.emplace(key);
-        device.begin_capture(*graph);
-        device.capture_footprint(
-            sim::Footprint{}
-                .reads(in, word_bytes)
-                .reads(priority.data(),
-                       static_cast<std::int64_t>(un * sizeof(std::int64_t)))
-                .reads_relaxed(snapshot.data(), color_bytes)
-                .writes_aligned(colors, color_bytes, num_words));
-        gr::compute_bits_recorded(device, in, num_words, dir, color_op);
-        device.capture_footprint(
-            sim::Footprint{}
-                .reads(in, word_bytes)
-                .reads_aligned(colors, color_bytes, num_words)
-                .writes_aligned(snapshot.data(), color_bytes, num_words)
-                .writes(out, word_bytes)
-                .writes(counts.data(),
-                        static_cast<std::int64_t>(counts.size() *
-                                                  sizeof(std::int64_t))));
-        gr::filter_bits_recorded(device, in, out, num_words, counts.data(),
-                                 dir, survive_op);
-        device.end_capture();
-      }
-      device.replay(*graph);
-      size = 0;
-      for (const std::int64_t c : counts) size += c;
-      flipped = !flipped;
-      result.metrics.push("colored", n - size);
-      return size > 0;
-    });
-  } else {
-    stats = enactor.enact([&](std::int32_t) {
-      const obs::ScopedPhase phase("jp::round");
-      result.metrics.push("frontier", frontier.size());
-      gr::compute(device, frontier, color_op, avg_degree);
-
-      if (bitmap) {
-        // Word-wise frontier rebuild: the compaction the sparse path pays
-        // two launches for (flag+count, scatter) is one word-owner pass.
-        gr::Frontier next = gr::filter_bits(device, frontier,
-                                            std::move(spare_words), survive_op,
-                                            avg_degree);
-        spare_words = frontier.release_words();
-        frontier = std::move(next);
-      } else {
-        // The survivors compact into the recycled buffer — two launches per
-        // round instead of publish + flag + gather.
-        gr::Frontier next =
-            gr::filter_into(device, frontier, std::move(spare), survive_op);
-        spare = frontier.release_vertices();
-        frontier = std::move(next);
-      }
-      result.metrics.push("colored", n - frontier.size());
-      return !frontier.is_empty();
-    });
-  }
+    if (bitmap) {
+      // Word-wise frontier rebuild: the compaction the sparse path pays
+      // two launches for (flag+count, scatter) is one word-owner pass.
+      gr::Frontier next = gr::filter_bits(device, frontier,
+                                          std::move(spare_words), survive_op,
+                                          avg_degree);
+      spare_words = frontier.release_words();
+      frontier = std::move(next);
+    } else {
+      // The survivors compact into the recycled buffer — two launches per
+      // round instead of publish + flag + gather.
+      gr::Frontier next =
+          gr::filter_into(device, frontier, std::move(spare), survive_op);
+      spare = frontier.release_vertices();
+      frontier = std::move(next);
+    }
+    result.metrics.push("colored", n - frontier.size());
+    return !frontier.is_empty();
+  });
 
   result.elapsed_ms = watch.elapsed_ms();
   result.iterations = stats.iterations;

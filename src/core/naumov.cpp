@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
 #include "sim/device.hpp"
-#include "sim/launch_graph.hpp"
 #include "sim/rng.hpp"
 #include "sim/scratch.hpp"
 #include "sim/slot_range.hpp"
@@ -57,66 +56,6 @@ std::int64_t color_pass_count_uncolored(sim::Device& device, const char* name,
   return uncolored;
 }
 
-/// Launch-graph twin of color_pass_count_uncolored: captures the SAME fused
-/// color+count slot kernel once into `pass.graph`, with the per-iteration
-/// state (the iteration number the body re-randomizes on) read through a
-/// cell the host rewrites between replays. The per-slot tallies land in
-/// graph-owned `pass.partials` (scratch lanes may regrow and dangle across
-/// replays); the host sum stays outside the graph, exactly as in the eager
-/// helper, so launch counts match eager execution byte-for-byte.
-struct CountedReplayPass {
-  sim::LaunchGraph graph;
-  std::vector<std::int64_t> partials;
-  std::int32_t iteration = 0;
-
-  template <typename Body>
-  void capture(sim::Device& device, const char* name, vid_t n,
-               const std::int32_t* colors, Body body) {
-    const unsigned workers = device.num_workers();
-    partials.assign(workers, 0);
-    std::int64_t* tallies = partials.data();
-    const std::int32_t* iter_cell = &iteration;
-    device.begin_capture(graph);
-    // One node, one interval — naumov saves no barriers, only the per-round
-    // dispatch setup. The footprint still documents the contract: neighbor
-    // color reads race benignly (see the body's comment), own-color writes
-    // and the per-slot tally are partition-aligned.
-    device.capture_footprint(
-        sim::Footprint{}
-            .reads_relaxed(colors, static_cast<std::int64_t>(n) *
-                                       static_cast<std::int64_t>(
-                                           sizeof(std::int32_t)))
-            .writes_aligned(colors,
-                            static_cast<std::int64_t>(n) *
-                                static_cast<std::int64_t>(sizeof(std::int32_t)),
-                            n)
-            .writes_aligned(tallies,
-                            static_cast<std::int64_t>(workers) *
-                                static_cast<std::int64_t>(sizeof(std::int64_t)),
-                            n));
-    device.launch_slots(name, [=](unsigned slot, unsigned num_slots) {
-      const auto [begin, end] = sim::slot_range(slot, num_slots, n);
-      const std::int32_t iter = *iter_cell;
-      std::int64_t local = 0;
-      for (std::int64_t vi = begin; vi < end; ++vi) {
-        body(vi, iter);
-        if (colors[static_cast<std::size_t>(vi)] == kUncolored) ++local;
-      }
-      tallies[slot] = local;
-    });
-    device.end_capture();
-  }
-
-  /// Replays the captured round for `iter` and returns the uncolored count.
-  std::int64_t run(sim::Device& device, std::int32_t iter) {
-    iteration = iter;
-    device.replay(graph);
-    std::int64_t uncolored = 0;
-    for (const std::int64_t p : partials) uncolored += p;
-    return uncolored;
-  }
-};
-
 }  // namespace
 
 Coloring naumov_jpl_color(const graph::Csr& csr,
@@ -136,8 +75,7 @@ Coloring naumov_jpl_color(const graph::Csr& csr,
 
   // One kernel per iteration: every uncolored vertex checks whether it holds
   // the local hash maximum among uncolored neighbors; re-randomized every
-  // iteration. The loop-termination count rides in the same launch. Shared
-  // verbatim between the eager path and the captured graph.
+  // iteration. The loop-termination count rides in the same launch.
   const auto color_vertex = [&csr, &options, colors](std::int64_t vi,
                                                      std::int32_t iteration) {
     const auto v = static_cast<vid_t>(vi);
@@ -161,24 +99,14 @@ Coloring naumov_jpl_color(const graph::Csr& csr,
     sim::atomic_store(colors[uv], iteration);
   };
 
-  // The round body's grid shape never varies (all n vertices, fixed worker
-  // count), so under --graph-replay the whole run replays one recorded node.
-  CountedReplayPass replay_pass;
-  if (options.graph_replay) {
-    replay_pass.capture(device, "naumov::jpl_color", n, colors, color_vertex);
-  }
-
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   for (std::int32_t iteration = 0; iteration < options.max_iterations;
        ++iteration) {
     const obs::ScopedPhase phase("naumov::jpl_round");
-    const std::int64_t uncolored =
-        options.graph_replay
-            ? replay_pass.run(device, iteration)
-            : color_pass_count_uncolored(
-                  device, "naumov::jpl_color", n, colors,
-                  [&](std::int64_t vi) { color_vertex(vi, iteration); });
+    const std::int64_t uncolored = color_pass_count_uncolored(
+        device, "naumov::jpl_color", n, colors,
+        [&](std::int64_t vi) { color_vertex(vi, iteration); });
     ++result.iterations;
     result.metrics.push("frontier", n - prev_colored);
     result.metrics.push("colored", n - uncolored);
@@ -214,8 +142,6 @@ Coloring naumov_cc_color(const graph::Csr& csr,
   std::int32_t* colors = result.colors.data();
   std::int64_t prev_colored = 0;
 
-  // Shared verbatim between the eager path and the captured graph, like
-  // naumov_jpl_color's color_vertex.
   const auto color_vertex = [&csr, &options, colors,
                              num_hashes](std::int64_t vi,
                                          std::int32_t iteration) {
@@ -264,22 +190,14 @@ Coloring naumov_cc_color(const graph::Csr& csr,
     }
   };
 
-  CountedReplayPass replay_pass;
-  if (options.graph_replay) {
-    replay_pass.capture(device, "naumov::cc_color", n, colors, color_vertex);
-  }
-
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   for (std::int32_t iteration = 0; iteration < options.max_iterations;
        ++iteration) {
     const obs::ScopedPhase phase("naumov::cc_round");
-    const std::int64_t uncolored =
-        options.graph_replay
-            ? replay_pass.run(device, iteration)
-            : color_pass_count_uncolored(
-                  device, "naumov::cc_color", n, colors,
-                  [&](std::int64_t vi) { color_vertex(vi, iteration); });
+    const std::int64_t uncolored = color_pass_count_uncolored(
+        device, "naumov::cc_color", n, colors,
+        [&](std::int64_t vi) { color_vertex(vi, iteration); });
     ++result.iterations;
     result.metrics.push("frontier", n - prev_colored);
     result.metrics.push("colored", n - uncolored);

@@ -80,13 +80,6 @@ struct Options {
     return original_ids.empty() ? v
                                 : original_ids[static_cast<std::size_t>(v)];
   }
-
-  /// Capture each stable-shape round body into a sim::LaunchGraph once and
-  /// replay it on subsequent iterations (launch-graph replay with barrier
-  /// elision, DESIGN.md §3i). Per-kernel launch counts and — for the
-  /// deterministic algorithms — colors are identical either way; rounds
-  /// whose grid shape varies fall back to eager launches automatically.
-  bool graph_replay = false;
 };
 
 }  // namespace gcol::color

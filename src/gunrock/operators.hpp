@@ -326,104 +326,6 @@ template <typename Pred>
                         frontier.mode());
 }
 
-// ---- recorded (capture-friendly) operator twins ---------------------------
-// The same bitmap kernels as compute / filter_bits — same names, schedules,
-// directions, item counts and traffic models — but phrased over raw
-// persistent pointers with every closure binding BY VALUE. The standard
-// operators capture their stack state (the Frontier, the user op) by
-// reference, which is fine eagerly but dangles the moment a CaptureSink
-// copies the body for later replay; these twins exist so per-round
-// algorithms can record stable-shape rounds into a sim::LaunchGraph. The
-// caller owns direction resolution (resolve_direction on its tracked
-// frontier size) and keys its graph cache on whatever varies round to round
-// — typically ping-pong buffer parity plus direction. Outside capture mode
-// they execute exactly like the eager operators.
-
-/// compute() over a bitmap frontier's word array. `op` is copied into the
-/// recorded body; any state it references must outlive the graph.
-template <typename Op>
-void compute_bits_recorded(sim::Device& device, const std::uint64_t* words,
-                           std::int64_t num_words, Direction dir, Op op) {
-  if (dir == Direction::kPush) {
-    device.launch(
-        "gr::compute_push", num_words,
-        [words, op](std::int64_t w) {
-          sim::visit_set_bits(
-              words[static_cast<std::size_t>(w)], w * sim::kBitsPerWord,
-              [&](std::int64_t bit) { op(static_cast<vid_t>(bit)); });
-        },
-        sim::Schedule::kStatic, 0, "push", sim::Traffic{kWordBytes, 0});
-    return;
-  }
-  device.launch(
-      "gr::compute_pull", num_words,
-      [words, op](std::int64_t w) {
-        const std::uint64_t word = words[static_cast<std::size_t>(w)];
-        const std::int64_t base = w * sim::kBitsPerWord;
-        for (std::int64_t b = 0; b < sim::kBitsPerWord; ++b) {
-          if ((word >> b) & 1u) op(static_cast<vid_t>(base + b));
-        }
-      },
-      sim::Schedule::kStatic, 0, "pull", sim::Traffic{kWordBytes, 0});
-}
-
-/// filter_bits() over explicit in/out word arrays: rewrites `out` word-wise
-/// from `in` (SIMD zero-run skip included) and tallies each slot's survivor
-/// popcount into `counts[slot]` — a caller-owned array sized num_workers(),
-/// because scratch lanes may regrow (and dangle) between replays. The caller
-/// sums counts after replay, exactly like the eager operator's return path.
-template <typename Pred>
-void filter_bits_recorded(sim::Device& device, const std::uint64_t* in,
-                          std::uint64_t* out, std::int64_t num_words,
-                          std::int64_t* counts, Direction dir, Pred pred) {
-  device.launch_slots(
-      "gr::filter_bits",
-      [in, out, num_words, counts, dir, pred](unsigned slot,
-                                              unsigned num_slots) {
-        const std::span<const std::uint64_t> words(
-            in, static_cast<std::size_t>(num_words));
-        const auto [begin, end] = sim::slot_range(slot, num_slots, num_words);
-        std::int64_t local = 0;
-        std::int64_t w = begin;
-        while (w < end) {
-          const std::int64_t skip = sim::simd::first_nonzero_word(
-              words.subspan(static_cast<std::size_t>(w),
-                            static_cast<std::size_t>(end - w)));
-          const std::int64_t stop = skip < 0 ? end : w + skip;
-          if (stop > w) {
-            sim::simd::fill(
-                std::span(out + w, static_cast<std::size_t>(stop - w)), 0);
-            w = stop;
-          }
-          if (w == end) break;
-          const std::uint64_t word = words[static_cast<std::size_t>(w)];
-          const std::int64_t base = w * sim::kBitsPerWord;
-          std::uint64_t next = 0;
-          const auto apply = [&](std::int64_t bit) {
-            if (pred(static_cast<vid_t>(bit))) {
-              next |= std::uint64_t{1} << (bit - base);
-            }
-          };
-          if (dir == Direction::kPush) {
-            sim::visit_set_bits(word, base, apply);
-          } else {
-            for (std::int64_t b = 0; b < sim::kBitsPerWord; ++b) {
-              if ((word >> b) & 1u) apply(base + b);
-            }
-          }
-          out[static_cast<std::size_t>(w)] = next;
-          local += std::popcount(next);
-          ++w;
-        }
-        counts[slot] = local;
-      },
-      to_cstr(dir), [num_words](unsigned slot, unsigned num_slots) {
-        const auto [begin, end] = sim::slot_range(slot, num_slots, num_words);
-        return sim::Traffic{(end - begin) * kWordBytes,
-                            (end - begin) * kWordBytes + kSlotCountBytes};
-      });
-}
-
 /// FilterOp: new frontier containing the input vertices where pred(v) holds.
 /// Bitmap frontiers rebuild word-wise (see filter_bits); others compact to
 /// a vertex list.

@@ -94,14 +94,12 @@ void Metrics::record_kernel(std::string_view name, std::int64_t items,
   if (i == kernel_names_.size()) {
     kernel_names_.emplace_back(name);
     kernel_stats_.push_back({1, items, ms});
-    kernel_stats_.back().barrier_intervals = 1;
     return;
   }
   KernelStat& stat = kernel_stats_[i];
   ++stat.launches;
   stat.items += items;
   stat.total_ms += ms;
-  ++stat.barrier_intervals;
 }
 
 void Metrics::record_kernel(const sim::LaunchInfo& info) {
@@ -117,14 +115,6 @@ void Metrics::record_kernel(const sim::LaunchInfo& info) {
   ++stat->launches;
   stat->items += info.items;
   stat->total_ms += info.elapsed_ms;
-  // Replayed non-head nodes share their interval head's barrier, so only
-  // heads (and every eager launch) pay one.
-  if (info.graphed) {
-    ++stat->graphed_launches;
-    if (info.interval_head) ++stat->barrier_intervals;
-  } else {
-    ++stat->barrier_intervals;
-  }
   if (info.direction != nullptr) stat->direction = info.direction;
   stat->stream_mask |= std::uint64_t{1} << (info.stream < 63 ? info.stream : 63);
   if (info.traffic.modeled()) {
@@ -205,8 +195,6 @@ void Metrics::merge(const Metrics& other) {
     mine.wait_ms += theirs.wait_ms;
     mine.span_ms += theirs.span_ms;
     mine.stream_mask |= theirs.stream_mask;
-    mine.graphed_launches += theirs.graphed_launches;
-    mine.barrier_intervals += theirs.barrier_intervals;
     mine.modeled_launches += theirs.modeled_launches;
     mine.bytes_read += theirs.bytes_read;
     mine.bytes_written += theirs.bytes_written;
@@ -246,13 +234,6 @@ Json Metrics::to_json() const {
       entry.set("total_ms", stat.total_ms);
       if (stat.direction != nullptr) {
         entry.set("direction", std::string(stat.direction));
-      }
-      // Only kernels that actually replayed from a graph carry the replay
-      // keys, so replay-off payloads stay byte-identical to gcol-bench-v6
-      // (readers default barrier_intervals to launches when absent).
-      if (stat.graphed_launches > 0) {
-        entry.set("graphed", stat.graphed_launches);
-        entry.set("barrier_intervals", stat.barrier_intervals);
       }
       if (stat.telemetry_launches > 0) {
         entry.set("busy_ms", stat.busy_ms);

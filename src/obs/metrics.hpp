@@ -55,15 +55,6 @@ struct KernelStat {
   /// classic single-stream payloads are byte-identical to gcol-bench-v2.
   std::uint64_t stream_mask = 0;
 
-  // ---- launch-graph replay (launches with LaunchInfo::graphed) -----------
-  std::uint64_t graphed_launches = 0;  ///< launches replayed from a graph
-  /// Worker barriers actually paid for this kernel: one per eager launch
-  /// plus one per replayed interval HEAD — a replayed non-head node rode an
-  /// earlier node's barrier (elision). Equals `launches` when nothing was
-  /// graphed; the gap is the barrier savings bench_diff's BARRIERS- lane
-  /// reports.
-  std::uint64_t barrier_intervals = 0;
-
   // ---- per-slot telemetry sums (only launches that carried telemetry) ----
   std::uint64_t telemetry_launches = 0;  ///< launches with slot telemetry
   std::uint64_t slot_samples = 0;        ///< Σ slots over those launches

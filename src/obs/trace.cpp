@@ -142,10 +142,6 @@ void TraceSession::on_kernel_launch(const sim::LaunchInfo& info) {
   launch.imbalance = busy_mean > 0.0 ? busy_max / busy_mean : 1.0;
   launch.wait_share = span > 0.0 ? wait_sum / span : 0.0;
   launch.traffic = info.traffic;
-  launch.graphed = info.graphed;
-  launch.interval_head = info.interval_head;
-  launch.graph_id = info.graph_id;
-  launch.graph_node = info.graph_node;
   if (info.hw && info.slot_telemetry != nullptr) {
     for (unsigned s = 0; s < info.slots; ++s) {
       const sim::SlotTelemetry& t = info.slot_telemetry[s];
@@ -213,11 +209,6 @@ void TraceSession::append_event(Json& trace_events, const Event& event) {
       if (event.traffic.modeled()) {
         args.set("bytes_read", event.traffic.bytes_read);
         args.set("bytes_written", event.traffic.bytes_written);
-      }
-      if (event.graphed) {
-        args.set("graph", static_cast<std::int64_t>(event.graph_id));
-        args.set("graph_node", static_cast<std::int64_t>(event.graph_node));
-        args.set("interval_head", event.interval_head);
       }
       if (event.hw_valid) {
         args.set("cycles", event.hw.cycles);

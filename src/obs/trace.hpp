@@ -122,13 +122,6 @@ class TraceSession final : public sim::LaunchListener {
     sim::Traffic traffic{};
     sim::HwCounters hw{};
     bool hw_valid = false;
-    /// Launch spans replayed from a recorded LaunchGraph: graph identity and
-    /// node index (args emitted only when graphed, so eager traces are
-    /// unchanged). trace_report.py derives its per-graph table from these.
-    bool graphed = false;
-    bool interval_head = false;
-    unsigned graph_id = 0;
-    unsigned graph_node = 0;
   };
 
   struct OpenPhase {

@@ -42,14 +42,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "sim/device_pool.hpp"
-#include "sim/footprint.hpp"
 #include "sim/scratch.hpp"
 #include "sim/slot_range.hpp"
 #include "sim/thread_pool.hpp"
@@ -58,7 +56,6 @@
 namespace gcol::sim {
 
 class Device;
-class LaunchGraph;
 class Stream;
 
 /// Scheduling policy for work items inside one kernel launch.
@@ -198,20 +195,6 @@ struct LaunchInfo {
   /// A hardware sampler was installed for this launch; per-slot validity is
   /// in SlotTelemetry::hw_valid (a sampler can fail on individual threads).
   bool hw = false;
-  /// The launch was replayed from a recorded LaunchGraph rather than
-  /// dispatched eagerly. Replayed nodes report the same name/items/launch
-  /// count as their eager twins, so per-kernel LAUNCHES stay byte-identical
-  /// replay-on vs replay-off; what shrinks is the barrier-interval count.
-  bool graphed = false;
-  /// First node of its barrier interval (meaningful only when `graphed`).
-  /// Interval elapsed time and slot telemetry are attributed to the head
-  /// node; the interval's other nodes report elapsed_ms 0 and no telemetry.
-  bool interval_head = false;
-  /// Identity of the recorded graph (1-based, process-unique) and this
-  /// node's index within it; 0/0 for eager launches. trace_report.py keys
-  /// its per-graph table (nodes, intervals, replays) off these.
-  unsigned graph_id = 0;
-  unsigned graph_node = 0;
 };
 
 /// Receives a LaunchInfo after every kernel launch completes. Notifications
@@ -223,36 +206,6 @@ class LaunchListener {
  public:
   virtual ~LaunchListener() = default;
   virtual void on_kernel_launch(const LaunchInfo& info) = 0;
-};
-
-/// Where captured launches are recorded. While a sink is installed on an
-/// execution context (Device::begin_capture), every launch on that context
-/// records itself here INSTEAD of executing: bodies are copied into
-/// std::functions (range bodies pre-wrapped so replay pays one indirect call
-/// per slot, not per item), and the footprint most recently declared via
-/// Device::capture_footprint rides along. sim::LaunchGraph is the production
-/// implementation; tests may record into their own sinks.
-class CaptureSink {
- public:
-  virtual ~CaptureSink() = default;
-  /// A Device::launch: `body(begin, end)` must run items [begin, end).
-  virtual void record_range(const char* name, std::int64_t n,
-                            Schedule schedule, std::int64_t chunk,
-                            const char* direction, Traffic per_item,
-                            Footprint footprint,
-                            std::function<void(std::int64_t, std::int64_t)>
-                                body) = 0;
-  /// A Device::launch_slots: body(slot, num_slots); traffic_of(slot,
-  /// num_slots) returns the slot's absolute modeled bytes, evaluated after
-  /// each replayed interval (may be empty for an unmodeled kernel).
-  virtual void record_slots(
-      const char* name, const char* direction, Footprint footprint,
-      std::function<void(unsigned, unsigned)> body,
-      std::function<Traffic(unsigned, unsigned)> traffic_of) = 0;
-  /// A Device::host_pass: fn() runs once on the launching slot.
-  virtual void record_host(const char* name, Traffic traffic,
-                           Footprint footprint,
-                           std::function<void()> body) = 0;
 };
 
 /// Everything one stream of execution needs from the device: the worker lane
@@ -285,15 +238,6 @@ struct ExecContext {
   std::unique_ptr<SlotTelemetry[]> telemetry;
   std::atomic<LaunchListener*> listener{nullptr};
   std::atomic<std::uint64_t> launches{0};
-  /// Capture mode (launch-graph recording, launch_graph.hpp): while non-null,
-  /// launches on this context record into the sink instead of executing.
-  /// Plain pointers — capture toggling follows the context's single-launcher
-  /// contract (the host thread, or the owning stream's thread).
-  CaptureSink* capture = nullptr;
-  /// Footprint declared for the NEXT captured launch (capture_footprint);
-  /// consumed by that launch's record call.
-  Footprint pending_footprint;
-  bool has_pending_footprint = false;
 };
 
 /// Process-wide virtual device. Thread count comes from GCOL_THREADS if set,
@@ -367,48 +311,6 @@ class Device {
     return hw_sampler_.load(std::memory_order_acquire);
   }
 
-  // ---- launch-graph capture & replay (launch_graph.hpp) -------------------
-
-  /// Enters capture mode on the calling thread's context: until end_capture,
-  /// every launch/launch_slots/host_pass on this context records into `sink`
-  /// instead of executing (and without bumping the launch count — replay
-  /// counts each node). On a stream's thread this captures onto the stream's
-  /// context, so a graph can be recorded from inside a Stream::host_task.
-  /// Capture does not nest.
-  void begin_capture(CaptureSink& sink) noexcept {
-    ExecContext& ctx = context();
-    ctx.capture = &sink;
-    ctx.has_pending_footprint = false;
-  }
-  void end_capture() noexcept {
-    ExecContext& ctx = context();
-    ctx.capture = nullptr;
-    ctx.has_pending_footprint = false;
-  }
-  [[nodiscard]] bool capturing() const noexcept {
-    return context().capture != nullptr;
-  }
-
-  /// Declares the memory footprint of the NEXT captured launch on this
-  /// context (see footprint.hpp). Launches captured without a declared
-  /// footprint are conservatively given their own barrier interval. No-op
-  /// outside capture mode, so call sites may declare unconditionally.
-  void capture_footprint(Footprint footprint) noexcept {
-    ExecContext& ctx = context();
-    if (ctx.capture == nullptr) return;
-    ctx.pending_footprint = std::move(footprint);
-    ctx.has_pending_footprint = true;
-  }
-
-  /// Replays a finalized recorded graph on the calling thread's context: one
-  /// ThreadPool barrier per *interval*, nodes within an interval executed in
-  /// order by each slot. Bumps the launch count by the node count and
-  /// notifies listeners once per node (graphed = true; elapsed time and slot
-  /// telemetry attributed to each interval's head node), so per-kernel
-  /// launch counts match the eager execution exactly. Defined in
-  /// launch_graph.cpp.
-  void replay(LaunchGraph& graph);
-
   /// Named kernel launch: body(i) for every i in [0, n), blocking until done
   /// (one kernel launch + barrier over the context's lane). `body` must be
   /// safe to invoke concurrently from different workers for distinct i. The
@@ -424,18 +326,6 @@ class Device {
               const char* direction = nullptr, Traffic per_item = {}) {
     if (n <= 0) return;
     ExecContext& ctx = context();
-    if (ctx.capture != nullptr) {
-      // Record instead of executing: the body is copied into a range wrapper
-      // so replay pays one indirect call per slot per node, not per item.
-      ctx.capture->record_range(
-          name, n, schedule, chunk, direction, per_item,
-          take_pending_footprint(ctx),
-          [body = std::forward<Body>(body)](std::int64_t begin,
-                                            std::int64_t end) mutable {
-            for (std::int64_t i = begin; i < end; ++i) body(i);
-          });
-      return;
-    }
     ctx.launches.fetch_add(1, std::memory_order_relaxed);
     LaunchListener* listener = ctx.listener.load(std::memory_order_acquire);
     LaunchListener* tracer = trace_listener();
@@ -497,12 +387,6 @@ class Device {
   void launch_slots(const char* name, Body&& body, const char* direction,
                     TrafficFn&& traffic_of) {
     ExecContext& ctx = context();
-    if (ctx.capture != nullptr) {
-      ctx.capture->record_slots(name, direction, take_pending_footprint(ctx),
-                                std::forward<Body>(body),
-                                std::forward<TrafficFn>(traffic_of));
-      return;
-    }
     ctx.launches.fetch_add(1, std::memory_order_relaxed);
     const unsigned workers = context_width(ctx);
     LaunchListener* listener = ctx.listener.load(std::memory_order_acquire);
@@ -556,11 +440,6 @@ class Device {
   template <typename Fn>
   void host_pass(const char* name, Fn&& fn, Traffic traffic = {}) {
     ExecContext& ctx = context();
-    if (ctx.capture != nullptr) {
-      ctx.capture->record_host(name, traffic, take_pending_footprint(ctx),
-                               std::forward<Fn>(fn));
-      return;
-    }
     ctx.launches.fetch_add(1, std::memory_order_relaxed);
     LaunchListener* listener = ctx.listener.load(std::memory_order_acquire);
     LaunchListener* tracer = trace_listener();
@@ -639,14 +518,6 @@ class Device {
                      const LaunchInfo& info) {
     if (listener != nullptr) listener->on_kernel_launch(info);
     if (tracer != nullptr) tracer->on_kernel_launch(info);
-  }
-
-  /// Consumes the footprint declared for the next captured launch (empty —
-  /// conservative — when none was declared).
-  static Footprint take_pending_footprint(ExecContext& ctx) {
-    if (!ctx.has_pending_footprint) return {};
-    ctx.has_pending_footprint = false;
-    return std::move(ctx.pending_footprint);
   }
 
   template <typename Body>

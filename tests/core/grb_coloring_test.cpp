@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "../testing/fixtures.hpp"
 #include "core/greedy.hpp"
 #include "core/grb_is.hpp"
@@ -8,6 +11,7 @@
 #include "core/verify.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graph/generators/rgg.hpp"
+#include "obs/metrics.hpp"
 
 namespace gcol::color {
 namespace {
@@ -145,6 +149,46 @@ TEST(GrbJpl, BipartiteStaysCheap) {
   const Coloring result = grb_jpl_color(bipartite_graph(8, 8));
   EXPECT_TRUE(is_valid_coloring(bipartite_graph(8, 8), result.colors));
   EXPECT_LE(result.num_colors, 4);
+}
+
+// ---- Fused round tail (all three GraphBLAS algorithms) ----------------------
+
+/// Launch counts of the unfused tail (reduce pair + two write_back/count_if
+/// assign pairs per round) on the graph below, measured before the fused
+/// tail became the default. The fused tail must come in strictly under.
+constexpr std::uint64_t kUnfusedIs = 179;
+constexpr std::uint64_t kUnfusedJpl = 192;
+constexpr std::uint64_t kUnfusedMis = 489;
+
+struct UnfusedLaunches {
+  const char* name;
+  Coloring (*run)(const graph::Csr&);
+  std::uint64_t launches;
+};
+
+TEST(GrbFusedTail, DenseMaskRoundsUseFusedKernels) {
+  // Weights are dense, so every round's frontier mask is dense too and
+  // every round takes the fused tail.
+  const auto csr = graph::build_csr(graph::generate_rgg(9, {.seed = 4}));
+  const UnfusedLaunches cases[] = {
+      {"grb_is", [](const graph::Csr& g) { return grb_is_color(g); },
+       kUnfusedIs},
+      {"grb_jpl", [](const graph::Csr& g) { return grb_jpl_color(g); },
+       kUnfusedJpl},
+      {"grb_mis", [](const graph::Csr& g) { return grb_mis_color(g); },
+       kUnfusedMis},
+  };
+  for (const UnfusedLaunches& c : cases) {
+    const Coloring result = c.run(csr);
+    EXPECT_TRUE(is_valid_coloring(csr, result.colors)) << c.name;
+    const std::string prefix = std::string(c.name) + "::";
+    for (const char* kernel : {"sync_frontier", "assign_colors"}) {
+      const obs::KernelStat* stat = result.metrics.kernel(prefix + kernel);
+      ASSERT_NE(stat, nullptr) << prefix << kernel << " never launched";
+      EXPECT_GT(stat->launches, 0u) << prefix << kernel;
+    }
+    EXPECT_LT(result.kernel_launches, c.launches) << c.name;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <vector>
 
+#include "sim/stream.hpp"
+
 namespace gcol::sim {
 namespace {
 
@@ -74,6 +76,82 @@ TEST(Device, GlobalInstanceIsStable) {
   Device& b = Device::instance();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.num_workers(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Inline-path stream attribution (regression pin). Grids at or below
+// kInlineLaunchItems execute inline on the launching thread; the observed
+// inline path must still stamp slot 0's {items, stream} telemetry and the
+// LaunchInfo stream id, or tiny tail-iteration launches vanish from
+// per-stream kernel attribution.
+// ---------------------------------------------------------------------------
+
+/// Keeps each LaunchInfo plus a copy of slot 0's telemetry. Installed
+/// context-scoped, so no synchronization needed.
+class InlineRecorder final : public LaunchListener {
+ public:
+  struct Record {
+    unsigned slots = 0;
+    unsigned stream = 0;
+    bool has_telemetry = false;
+    std::int64_t slot0_items = 0;
+    unsigned slot0_stream = 0;
+    Traffic traffic{};
+  };
+
+  void on_kernel_launch(const LaunchInfo& info) override {
+    Record r;
+    r.slots = info.slots;
+    r.stream = info.stream;
+    r.traffic = info.traffic;
+    if (info.slot_telemetry != nullptr) {
+      r.has_telemetry = true;
+      r.slot0_items = info.slot_telemetry[0].items;
+      r.slot0_stream = info.slot_telemetry[0].stream;
+    }
+    records.push_back(r);
+  }
+
+  std::vector<Record> records;
+};
+
+TEST(InlineLaunchTelemetry, DefaultContextStampsSlotZero) {
+  Device device(4);
+  InlineRecorder listener;
+  device.set_launch_listener(&listener);
+  device.launch("test::tiny", kInlineLaunchItems, [](std::int64_t) {},
+                Schedule::kStatic, 0, nullptr, Traffic{8, 4});
+  device.set_launch_listener(nullptr);
+
+  ASSERT_EQ(listener.records.size(), 1u);
+  const auto& r = listener.records[0];
+  EXPECT_EQ(r.slots, 1u);  // inline: one slot regardless of device width
+  ASSERT_TRUE(r.has_telemetry);
+  EXPECT_EQ(r.slot0_items, kInlineLaunchItems);
+  EXPECT_EQ(r.slot0_stream, 0u);  // default context
+  EXPECT_EQ(r.stream, 0u);
+  EXPECT_EQ(r.traffic.bytes_read, 8 * kInlineLaunchItems);
+  EXPECT_EQ(r.traffic.bytes_written, 4 * kInlineLaunchItems);
+}
+
+TEST(InlineLaunchTelemetry, StreamLaunchStampsStreamId) {
+  Device device(4);
+  InlineRecorder listener;
+  Stream stream(device, 2);
+  // The metrics listener is context-scoped: install it from the stream's
+  // thread so the stream's launches notify it.
+  stream.submit([&] { device.set_launch_listener(&listener); });
+  stream.launch("test::tiny_stream", 4, [](std::int64_t) {});
+  stream.submit([&] { device.set_launch_listener(nullptr); });
+  stream.synchronize();
+
+  ASSERT_EQ(listener.records.size(), 1u);
+  const auto& r = listener.records[0];
+  EXPECT_EQ(r.slots, 1u);
+  EXPECT_EQ(r.stream, stream.id());  // inline launches carry stream identity
+  ASSERT_TRUE(r.has_telemetry);
+  EXPECT_EQ(r.slot0_stream, stream.id());
+  EXPECT_EQ(r.slot0_items, 4);
 }
 
 }  // namespace
