@@ -59,12 +59,12 @@ grb::Info booleanize(grb::Vector<T>& v) {
 
 /// Mirrors a dense or bitmap mask vector into `active` bytes (value
 /// semantics: byte set where an entry exists and is nonzero) and returns the
-/// set-byte count — the round's "succ" test. This one launch replaces the
-/// grb::reduce pair (reduce_cast + sim::reduce) and feeds assign_active,
-/// which reads `active` as its value mask. The count equals the Plus-reduce
-/// of a booleanized mask exactly. `v` must not be sparse; the round masks
-/// never are, since every GraphBLAS op writes back dense or bitmap storage
-/// (dense_values() asserts it in debug builds).
+/// set-byte count — the round's "succ" test. This one launch stands in for
+/// a grb::reduce and feeds assign_active, which reads `active` as its value
+/// mask. The count equals the Plus-reduce of a booleanized mask exactly.
+/// `v` must not be sparse; the round masks never are, since every GraphBLAS
+/// op leaves dense or bitmap storage (dense_values() asserts it in debug
+/// builds).
 inline std::int64_t mirror_count(sim::Device& device, const char* name,
                                  const grb::Vector<Weight>& v,
                                  std::span<std::uint8_t> active) {
@@ -107,7 +107,7 @@ inline std::int64_t mirror_count(sim::Device& device, const char* name,
 /// The fused round tail: runs `store(i)` at every position mirror_count set
 /// in `active`, in one in-place launch. It stands in for a masked-assign
 /// pair such as `c<frontier> = color; weight<frontier> = 0`, which
-/// grb::assign runs as two write_back + count_if pairs into fresh buffers.
+/// grb::assign would run as two stores that also rewrite presence bytes.
 /// The vectors `store` writes must be dense; callers re-read their
 /// dense_values() each round.
 template <typename Store>
@@ -121,7 +121,7 @@ void assign_active(sim::Device& device, const char* name,
       },
       sim::Schedule::kStatic, 0, nullptr,
       // Per position: the mask byte; the masked stores are data-dependent
-      // and excluded (structural floor, like grb::write_back).
+      // and excluded (structural floor, like grb::detail::store).
       sim::Traffic{1, 0});
 }
 

@@ -36,17 +36,18 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
   detail::set_random_weights(weight, options);
 
   // Fused round tail: mirror_count doubles as the succ reduction and
-  // assign_active replaces the two masked assigns, so the tail's six
-  // barriers (reduce_cast + sim::reduce, then a write_back + count_if pair
-  // per assign) become two. c and weight are dense throughout; the frontier
-  // is dense or bitmap, as every GraphBLAS op's write_back leaves it.
+  // assign_active replaces the two masked assigns, so the tail takes two
+  // launches. c and weight are dense throughout; the frontier is dense or
+  // bitmap, as every GraphBLAS op's store leaves it.
   std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
 
   std::int64_t colored_total = 0;
   for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
     const obs::ScopedPhase phase("grb_is::round");
-    // Find max of neighbors (l.8).
-    grb::vxm(max, nullptr, grb::max_times_semiring<Weight>(), weight, a);
+    // Find max of neighbors (l.8), only for uncolored rows: weight is the
+    // value mask, so colored rows keep a stale max that the GT below turns
+    // into 0 exactly as a fresh one would (their weight is 0).
+    grb::vxm(max, &weight, grb::max_times_semiring<Weight>(), weight, a);
     // Find all largest uncolored nodes (l.9); union semantics make
     // neighborless candidates (missing max entry) members automatically.
     grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);

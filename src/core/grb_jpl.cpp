@@ -167,16 +167,16 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
   detail::set_random_weights(weight, options);
 
   // Fused round tail, as in grb_is: mirror_count doubles as the succ
-  // reduction and assign_active replaces the two masked assigns (six
-  // barriers become two).
+  // reduction and assign_active replaces the two masked assigns.
   std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
 
   std::int64_t colored_total = 0;
   std::int32_t max_color = 0;
   for (std::int32_t round = 1; round <= options.max_iterations; ++round) {
     const obs::ScopedPhase phase("grb_jpl::round");
-    // Select the independent set exactly as Algorithm 2 does.
-    grb::vxm(max, nullptr, grb::max_times_semiring<Weight>(), weight, a);
+    // Select the independent set exactly as Algorithm 2 does (neighbor max
+    // masked to uncolored rows, as in grb_is).
+    grb::vxm(max, &weight, grb::max_times_semiring<Weight>(), weight, a);
     grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);
     detail::booleanize(frontier);
     const std::int64_t succ = detail::mirror_count(

@@ -16,6 +16,8 @@ namespace {
 
 using detail::Weight;
 
+constexpr grb::Descriptor kReplace{.replace = true};
+
 /// Algorithm 3 inner loop: grows `mis` to a maximal independent set of the
 /// subgraph induced by cand's nonzero entries. `cand` is consumed. Each
 /// masked update is the fused tail: mirror_count of the frontier (or
@@ -28,10 +30,10 @@ void mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
   grb::assign(mis, nullptr, Weight{0});
   for (;;) {
     // Find max of remaining candidates' neighbors, masked to candidates
-    // (Alg. 3 l.6). The temporary must be cleared: masked writes leave
-    // stale entries from the previous round otherwise.
-    max.clear();
-    grb::vxm(max, &cand, grb::max_times_semiring<Weight>(), cand, a);
+    // (Alg. 3 l.6). Replace drops the stale entries of the previous round
+    // at positions the mask blocks.
+    grb::vxm(max, &cand, grb::max_times_semiring<Weight>(), cand, a,
+             kReplace);
     // New members: candidates beating all candidate neighbors (l.8).
     grb::eWiseAdd(frontier, nullptr, grb::Greater{}, cand, max);
     detail::booleanize(frontier);
@@ -49,8 +51,8 @@ void mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
                             cv[i] = Weight{0};
                           });
     // Remove the new members' neighbors from the candidates (l.19-20).
-    nbr.clear();
-    grb::vxm(nbr, &cand, grb::boolean_semiring<Weight>(), frontier, a);
+    grb::vxm(nbr, &cand, grb::boolean_semiring<Weight>(), frontier, a,
+             kReplace);
     if (detail::mirror_count(device, "grb_mis::sync_nbr", nbr, active) > 0) {
       detail::assign_active(device, "grb_mis::knockout_nbrs", active,
                             [&](std::size_t i) { cv[i] = Weight{0}; });

@@ -2,19 +2,25 @@
 // The GraphBLAS operations used by the paper's Algorithms 2–4, plus the
 // GxB_scatter extension the paper introduces for Jones-Plassmann (§IV-A3).
 //
-// Execution model: every operation computes its result into dense
-// (values, present) buffers with one or two virtual-GPU kernel launches,
-// then merges into the output under mask/replace semantics:
+// Execution model: every operation that writes a vector stores through
+// detail::store — ONE slotted virtual-GPU launch that, at each position i,
+// computes the operation's entry, merges it under mask/replace semantics,
+// and writes the value and presence byte straight into the output's own
+// (reused) buffers while counting the entries:
 //
-//   out_present[i] — the operation produced an entry at i
-//   writes(i)      = mask allows i && out_present[i]
-//   final(i)       = writes(i) ? out[i] : (replace ? none : old w[i])
+//   writes(i) = mask allows i && the operation produces an entry at i
+//   final(i)  = writes(i) ? produced value : (replace ? none : old w[i])
 //
-// which is exactly the GraphBLAS C API's masked-assignment rule. vxm
-// implements both the push (iterate sparse input, scatter with atomics) and
-// pull (iterate masked outputs, gather) traversals with GraphBLAST's
-// direction-optimizing heuristic [Yang et al., ICPP 2018].
+// which is the library's masked-assignment rule. The entry is only computed
+// where the mask allows it, so masking "avoids many memory accesses" (paper
+// §III-A1). Position i is read before it is written, so an element-wise
+// output may alias its inputs and its mask. vxm implements both the push
+// (iterate sparse input, scatter with atomics into a scratch accumulator,
+// then store) and pull (store gathers each allowed row) traversals with
+// GraphBLAST's direction-optimizing heuristic [Yang et al., ICPP 2018].
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,11 +34,10 @@
 #include "graphblas/vector.hpp"
 #include "sim/advance.hpp"
 #include "sim/atomics.hpp"
-#include "sim/compact.hpp"
 #include "sim/device.hpp"
-#include "sim/reduce.hpp"
 #include "sim/scan.hpp"
 #include "sim/scratch.hpp"
+#include "sim/slot_range.hpp"
 
 namespace gcol::grb {
 
@@ -42,48 +47,6 @@ namespace gcol::grb {
 inline constexpr std::int64_t kPushEdgeBalanceMinEntries = 4096;
 
 namespace detail {
-
-/// Resolves mask + descriptor into a queryable predicate over positions.
-template <typename M>
-class MaskView {
- public:
-  MaskView(const Vector<M>* mask, const Descriptor& desc)
-      : mask_(mask),
-        structure_(desc.mask_structure),
-        complement_(desc.mask_complement) {}
-
-  /// True when no mask constrains writes at all.
-  [[nodiscard]] bool trivial() const noexcept {
-    return mask_ == nullptr && !complement_;
-  }
-
-  [[nodiscard]] bool allows(Index i) const noexcept {
-    if (mask_ == nullptr) {
-      // No mask: everything writable; complementing "all" blocks everything.
-      return !complement_;
-    }
-    bool set;
-    if (structure_) {
-      set = mask_->has(i);
-    } else {
-      M value{};
-      set = mask_->extract_element(&value, i) == Info::kSuccess &&
-            value != M{0};
-    }
-    return complement_ ? !set : set;
-  }
-
- private:
-  const Vector<M>* mask_;
-  bool structure_;
-  bool complement_;
-};
-
-/// No-mask tag with the same interface.
-struct NoMask {
-  [[nodiscard]] static bool trivial() noexcept { return true; }
-  [[nodiscard]] static bool allows(Index) noexcept { return true; }
-};
 
 /// O(1)-lookup view of a vector: dense vectors are viewed in place; sparse
 /// vectors are scattered once into scratch (values + presence) so element
@@ -179,8 +142,8 @@ void for_each_entry(sim::Device& device, const Vector<T>& u, F f,
   }
 }
 
-/// Mask wrapper over a DenseView (value or structure semantics, with
-/// complement) so masked inner loops also avoid binary searches.
+/// Mask + descriptor resolved over a DenseView (value or structure
+/// semantics, with complement), so every masked probe is O(1).
 template <typename M>
 class FastMaskView {
  public:
@@ -190,11 +153,13 @@ class FastMaskView {
     if (mask != nullptr) view_.emplace(*mask, device);
   }
 
+  /// True when no mask constrains writes at all.
   [[nodiscard]] bool trivial() const noexcept {
     return !view_.has_value() && !complement_;
   }
 
   [[nodiscard]] bool allows(Index i) const noexcept {
+    // No mask: everything writable; complementing "all" blocks everything.
     if (!view_.has_value()) return !complement_;
     const bool set =
         view_->has(i) && (structure_ || (*view_)[i] != M{0});
@@ -207,53 +172,67 @@ class FastMaskView {
   bool complement_;
 };
 
-/// Merges dense (values, present) results into `w` under mask/replace rules.
-/// `all_present` short-circuits the common dense case.
-template <typename W, typename Mask>
-void write_back(sim::Device& device, Vector<W>& w, const Mask& mask,
-                std::vector<W>&& out_values,
-                const std::vector<std::uint8_t>& out_present,
-                bool all_present, bool replace) {
+/// The one store of every vector-writing op: a single slotted launch in
+/// which each position runs `produce(i, value)` (returns whether the op has
+/// an entry at i) only where the mask allows, applies the replace/keep-old
+/// rule, and writes value and presence byte into w's own buffers. Per-slot
+/// entry counts sum to nvals; dense storage is installed when it is n.
+/// Chunks are claimed dynamically, since pull rows differ in cost.
+/// `per_entry` is produce's modeled traffic, counted only without a mask
+/// (a masked position may skip it); the presence byte is the floor.
+template <typename W, typename M, typename Produce>
+void store(sim::Device& device, const char* name, Vector<W>& w,
+           const FastMaskView<M>& mask, bool replace, Produce&& produce,
+           sim::Traffic per_entry) {
   const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  if (all_present && mask.trivial()) {
-    w.adopt_dense(std::move(out_values));
-    return;
-  }
-
-  // final value/presence per position; probe old entries through a dense
-  // view so sparse outputs don't pay a binary search per position.
-  const DenseView<W> old_view(w, device);
-  std::vector<std::uint8_t> final_present(un, 0);
-  device.launch(
-      "grb::write_back", n,
-      [&](std::int64_t i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const bool produced = all_present || out_present[ui] != 0;
-        if (mask.allows(i) && produced) {
-          final_present[ui] = 1;
-          return;
+  const auto out = w.store_slots(/*keep=*/!replace);
+  const unsigned workers = device.num_workers();
+  // Per slot: its entry count, then the number of positions it claimed.
+  const std::span<std::int64_t> tallies = device.scratch().get<std::int64_t>(
+      sim::ScratchLane::kPartials, 2 * static_cast<std::size_t>(workers));
+  const std::int64_t chunk =
+      std::max<std::int64_t>(1, n / (8 * static_cast<std::int64_t>(workers)));
+  std::atomic<std::int64_t> next{0};
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  device.launch_slots(
+      name,
+      [&](unsigned slot, unsigned) {
+        // Locals, so the presence-byte stores cannot alias them.
+        W* const values = out.values.data();
+        std::uint8_t* const present = out.present.data();
+        const bool unmasked = mask.trivial();
+        const bool keep_dense = !replace && out.dense;
+        const bool keep_bitmap = !replace && !out.dense;
+        std::int64_t kept = 0;
+        std::int64_t claimed = 0;
+        for (std::int64_t begin = next.fetch_add(chunk, kRelaxed); begin < n;
+             begin = next.fetch_add(chunk, kRelaxed)) {
+          const std::int64_t end = std::min(begin + chunk, n);
+          for (std::int64_t i = begin; i < end; ++i) {
+            W value{};
+            const bool writes =
+                (unmasked || mask.allows(i)) && produce(i, value);
+            if (writes) values[i] = value;
+            const bool has =
+                writes || keep_dense || (keep_bitmap && present[i] != 0);
+            present[i] = has ? 1 : 0;
+            kept += has ? 1 : 0;
+          }
+          claimed += end - begin;
         }
-        if (!replace && old_view.has(i)) {
-          final_present[ui] = 1;
-          out_values[ui] = old_view[i];
-        }
+        tallies[slot] = kept;
+        tallies[workers + slot] = claimed;
       },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position: the produced and old-presence probes plus the final
-      // presence byte; mask probes and the keep-old value copy are
-      // data-dependent and excluded (structural floor).
-      sim::Traffic{2, 1});
-
-  const std::int64_t kept = sim::count_if<std::uint8_t>(
-      device, final_present, [](std::uint8_t p) { return p != 0; });
-  if (kept == n) {
-    w.adopt_dense(std::move(out_values));
-    return;
-  }
-  // Bitmap install: no compaction — the next operation reads presence in
-  // O(1) through a DenseView.
-  w.adopt_bitmap(std::move(out_values), std::move(final_present), kept);
+      nullptr,
+      [&](unsigned slot, unsigned) {
+        const sim::Traffic entry =
+            sim::Traffic{0, 1} + (mask.trivial() ? per_entry : sim::Traffic{});
+        return entry * tallies[workers + slot] +
+               sim::Traffic{0, 2 * static_cast<std::int64_t>(sizeof(Index))};
+      });
+  Index nvals = 0;
+  for (unsigned slot = 0; slot < workers; ++slot) nvals += tallies[slot];
+  w.commit_store(nvals);
 }
 
 }  // namespace detail
@@ -266,20 +245,23 @@ void write_back(sim::Device& device, Vector<W>& w, const Mask& mask,
 template <typename W, typename M, typename T>
 Info assign(Vector<W>& w, const Vector<M>* mask, T value,
             const Descriptor& desc = kDefaultDesc) {
-  auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
   if (mask != nullptr && mask->size() != w.size()) {
     return Info::kDimensionMismatch;
   }
+  auto& device = sim::Device::instance();
+  const detail::FastMaskView<M> view(mask, desc, device);
+  const auto v = static_cast<W>(value);
   if (view.trivial()) {
-    w.fill(static_cast<W>(value));
+    w.fill(v);
     return Info::kSuccess;
   }
-  std::vector<W> out(static_cast<std::size_t>(w.size()),
-                     static_cast<W>(value));
-  // assign produces an entry at every (masked) position.
-  detail::write_back(device, w, view, std::move(out), {}, /*all_present=*/true,
-                     desc.replace);
+  detail::store(
+      device, "grb::assign", w, view, desc.replace,
+      [v](Index, W& out) {
+        out = v;
+        return true;
+      },
+      sim::Traffic{0, static_cast<std::int64_t>(sizeof(W))});
   return Info::kSuccess;
 }
 
@@ -303,36 +285,18 @@ Info apply_indexed(Vector<W>& w, const Vector<M>* mask, F f,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
-  const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<W> out(un);
-  if (u.is_dense()) {
-    const auto uv = u.dense_values();
-    device.launch(
-        "grb::apply", n,
-        [&](std::int64_t i) {
-          out[static_cast<std::size_t>(i)] =
-              static_cast<W>(f(i, uv[static_cast<std::size_t>(i)]));
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: one input gather and the output store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
-                     static_cast<std::int64_t>(sizeof(W))});
-    detail::write_back(device, w, view, std::move(out), {},
-                       /*all_present=*/true, desc.replace);
-    return Info::kSuccess;
-  }
-  std::vector<std::uint8_t> present(un, 0);
-  detail::for_each_entry(
-      device, u,
-      [&](Index i, U value) {
-        out[static_cast<std::size_t>(i)] = static_cast<W>(f(i, value));
-        present[static_cast<std::size_t>(i)] = 1;
+  const detail::FastMaskView<M> view(mask, desc, device);
+  const detail::DenseView<U> uview(u, device);
+  detail::store(
+      device, "grb::apply", w, view, desc.replace,
+      [&](Index i, W& out) {
+        if (!uview.has(i)) return false;
+        out = static_cast<W>(f(i, uview[i]));
+        return true;
       },
-      "grb::apply");
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+      // Per position: one input gather and the output store.
+      sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
+                   static_cast<std::int64_t>(sizeof(W))});
   return Info::kSuccess;
 }
 
@@ -359,11 +323,15 @@ Info apply(Vector<W>& w, std::nullptr_t, F f, const Vector<U>& u,
 
 // ---- GrB_eWiseAdd / GrB_eWiseMult -----------------------------------------
 
-/// w<mask> = u op v with UNION structure: entry where u or v has one;
-/// op applied only where both do.
+namespace detail {
+
+/// Shared body of the element-wise ops: `union_structure` selects eWiseAdd
+/// (entry where u or v has one, op only where both do) over eWiseMult
+/// (entry only where both do).
 template <typename W, typename M, typename U, typename V, typename Op>
-Info eWiseAdd(Vector<W>& w, const Vector<M>* mask, Op op, const Vector<U>& u,
-              const Vector<V>& v, const Descriptor& desc = kDefaultDesc) {
+Info ewise(const char* name, bool union_structure, Vector<W>& w,
+           const Vector<M>* mask, Op op, const Vector<U>& u,
+           const Vector<V>& v, const Descriptor& desc) {
   if (u.size() != w.size() || v.size() != w.size()) {
     return Info::kDimensionMismatch;
   }
@@ -371,58 +339,39 @@ Info eWiseAdd(Vector<W>& w, const Vector<M>* mask, Op op, const Vector<U>& u,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
-  const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<W> out(un);
-  const bool both_dense = u.is_dense() && v.is_dense();
-  if (both_dense) {
-    const auto uv = u.dense_values();
-    const auto vv = v.dense_values();
-    device.launch(
-        "grb::eWiseAdd", n,
-        [&](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          out[ui] = static_cast<W>(
-              op(static_cast<W>(uv[ui]), static_cast<W>(vv[ui])));
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: both input gathers and the output store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                     static_cast<std::int64_t>(sizeof(W))});
-    detail::write_back(device, w, view, std::move(out), {},
-                       /*all_present=*/true, desc.replace);
-    return Info::kSuccess;
-  }
-  std::vector<std::uint8_t> present(un, 0);
-  const detail::DenseView<U> uview(u, device);
-  const detail::DenseView<V> vview(v, device);
-  device.launch(
-      "grb::eWiseAdd", n,
-      [&](std::int64_t i) {
-        const auto ui = static_cast<std::size_t>(i);
+  const FastMaskView<M> view(mask, desc, device);
+  const DenseView<U> uview(u, device);
+  const DenseView<V> vview(v, device);
+  store(
+      device, name, w, view, desc.replace,
+      [&](Index i, W& out) {
         const bool has_u = uview.has(i);
         const bool has_v = vview.has(i);
         if (has_u && has_v) {
-          out[ui] = static_cast<W>(
+          out = static_cast<W>(
               op(static_cast<W>(uview[i]), static_cast<W>(vview[i])));
-          present[ui] = 1;
-        } else if (has_u) {
-          out[ui] = static_cast<W>(uview[i]);
-          present[ui] = 1;
-        } else if (has_v) {
-          out[ui] = static_cast<W>(vview[i]);
-          present[ui] = 1;
+          return true;
         }
+        if (!union_structure) return false;
+        if (has_u) out = static_cast<W>(uview[i]);
+        if (has_v) out = static_cast<W>(vview[i]);
+        return has_u || has_v;
       },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position, modeling the both-present path: two presence probes,
-      // both value gathers, the output store and its present byte.
-      sim::Traffic{2 + static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                   static_cast<std::int64_t>(sizeof(W)) + 1});
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+      // Per position, modeling the both-present path: both value gathers
+      // and the output store.
+      sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
+                   static_cast<std::int64_t>(sizeof(W))});
   return Info::kSuccess;
+}
+
+}  // namespace detail
+
+/// w<mask> = u op v with UNION structure: entry where u or v has one;
+/// op applied only where both do.
+template <typename W, typename M, typename U, typename V, typename Op>
+Info eWiseAdd(Vector<W>& w, const Vector<M>* mask, Op op, const Vector<U>& u,
+              const Vector<V>& v, const Descriptor& desc = kDefaultDesc) {
+  return detail::ewise("grb::eWiseAdd", true, w, mask, op, u, v, desc);
 }
 
 /// Unmasked eWiseAdd.
@@ -436,56 +385,7 @@ Info eWiseAdd(Vector<W>& w, std::nullptr_t, Op op, const Vector<U>& u,
 template <typename W, typename M, typename U, typename V, typename Op>
 Info eWiseMult(Vector<W>& w, const Vector<M>* mask, Op op, const Vector<U>& u,
                const Vector<V>& v, const Descriptor& desc = kDefaultDesc) {
-  if (u.size() != w.size() || v.size() != w.size()) {
-    return Info::kDimensionMismatch;
-  }
-  if (mask != nullptr && mask->size() != w.size()) {
-    return Info::kDimensionMismatch;
-  }
-  auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
-  const Index n = w.size();
-  const auto un = static_cast<std::size_t>(n);
-  std::vector<W> out(un);
-  if (u.is_dense() && v.is_dense()) {
-    const auto uv = u.dense_values();
-    const auto vv = v.dense_values();
-    device.launch(
-        "grb::eWiseMult", n,
-        [&](std::int64_t i) {
-          const auto ui = static_cast<std::size_t>(i);
-          out[ui] = static_cast<W>(
-              op(static_cast<W>(uv[ui]), static_cast<W>(vv[ui])));
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per position: both input gathers and the output store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                     static_cast<std::int64_t>(sizeof(W))});
-    detail::write_back(device, w, view, std::move(out), {},
-                       /*all_present=*/true, desc.replace);
-    return Info::kSuccess;
-  }
-  std::vector<std::uint8_t> present(un, 0);
-  const detail::DenseView<U> uview(u, device);
-  const detail::DenseView<V> vview(v, device);
-  device.launch(
-      "grb::eWiseMult", n,
-      [&](std::int64_t i) {
-        const auto ui = static_cast<std::size_t>(i);
-        if (uview.has(i) && vview.has(i)) {
-          out[ui] = static_cast<W>(
-              op(static_cast<W>(uview[i]), static_cast<W>(vview[i])));
-          present[ui] = 1;
-        }
-      },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position, modeling the both-present path: two presence probes,
-      // both value gathers, the output store and its present byte.
-      sim::Traffic{2 + static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                   static_cast<std::int64_t>(sizeof(W)) + 1});
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
-  return Info::kSuccess;
+  return detail::ewise("grb::eWiseMult", false, w, mask, op, u, v, desc);
 }
 
 /// Unmasked eWiseMult.
@@ -500,10 +400,11 @@ Info eWiseMult(Vector<W>& w, std::nullptr_t, Op op, const Vector<U>& u,
 /// w<mask> = u ⊕.⊗ A over the given semiring. The Matrix wraps an undirected
 /// graph's CSR (A = Aᵀ), so row j doubles as column j.
 ///
-/// Pull: one launch over output positions the mask allows — this is where
-/// masking "avoids many memory accesses" (paper §III-A1). Push: one launch
-/// over u's stored entries, scattering with CAS-loop atomics (integral W
-/// only; other types always pull).
+/// Pull: the store gathers row j only where the mask allows it — this is
+/// where masking "avoids many memory accesses" (paper §III-A1). Push: one
+/// launch over u's stored entries, scattering with CAS-loop atomics into a
+/// scratch accumulator (integral W only; other types always pull) that the
+/// store then merges.
 template <typename W, typename M, typename U, typename A, typename AddMonoid,
           typename MulOp>
 Info vxm(Vector<W>& w, const Vector<M>* mask,
@@ -542,115 +443,23 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
   }
 
   const W identity = static_cast<W>(semiring.add.identity);
-  std::vector<W> out(un, identity);
-  std::vector<std::uint8_t> present(un, 0);
 
-  if (push) {
-    // Per-edge combine shared by both push schedules: CAS under the add
-    // monoid (integral W only — non-integral W was forced to pull above).
-    const auto combine_edge = [&](Index j, U ui_value, eid_t e) {
-      if (!view.allows(j)) return;
-      const W product = static_cast<W>(semiring.mul(
-          static_cast<W>(ui_value), static_cast<W>(a.value_at(e))));
-      if constexpr (std::is_integral_v<W>) {
-        std::atomic_ref<W> slot(out[static_cast<std::size_t>(j)]);
-        W observed = slot.load(std::memory_order_relaxed);
-        W desired = static_cast<W>(semiring.add(observed, product));
-        while (desired != observed &&
-               !slot.compare_exchange_weak(observed, desired,
-                                           std::memory_order_relaxed)) {
-          desired = static_cast<W>(semiring.add(observed, product));
-        }
-        sim::atomic_store(present[static_cast<std::size_t>(j)],
-                          std::uint8_t{1});
-      } else {
-        (void)product;
-      }
-    };
-
-    // Edge-balanced push (merge-path over a frontier degree scan): a hub
-    // row's scatter splits across workers instead of serializing on the one
-    // that drew the entry — the Gunrock-advance treatment applied to the
-    // GraphBLAST push traversal. Only once the frontier is large enough to
-    // amortize the scan's extra launches; small frontiers keep the
-    // single-launch row walk.
-    const bool balanced =
-        desc.push_edge_balanced && u.is_sparse() &&
-        static_cast<std::int64_t>(u.nvals()) >= kPushEdgeBalanceMinEntries;
-    if (balanced) {
-      const auto indices = u.sparse_indices();
-      const auto uvals = u.sparse_values();
-      const auto nvals = static_cast<std::int64_t>(indices.size());
-      const std::span<eid_t> offsets = device.scratch().get<eid_t>(
-          sim::ScratchLane::kDegrees, static_cast<std::size_t>(nvals) + 1);
-      device.launch(
-          "grb::vxm_degrees", nvals,
-          [&](std::int64_t k) {
-            const auto row = static_cast<std::size_t>(
-                indices[static_cast<std::size_t>(k)]);
-            offsets[static_cast<std::size_t>(k)] =
-                csr.row_offsets[row + 1] - csr.row_offsets[row];
-          },
-          sim::Schedule::kStatic, 0, nullptr,
-          // Per frontier entry: the index gather, the row-offset pair, and
-          // the degree store.
-          sim::Traffic{
-              static_cast<std::int64_t>(sizeof(Index) + 2 * sizeof(eid_t)),
-              static_cast<std::int64_t>(sizeof(eid_t))});
-      const eid_t total = sim::exclusive_scan<eid_t>(
-          device, offsets.first(static_cast<std::size_t>(nvals)),
-          offsets.first(static_cast<std::size_t>(nvals)));
-      offsets[static_cast<std::size_t>(nvals)] = total;
-      sim::for_each_segment_range<eid_t>(
-          device, "grb::vxm_push", offsets,
-          [&](std::int64_t s, std::int64_t local_begin,
-              std::int64_t local_end, std::int64_t /*global_begin*/) {
-            const auto su = static_cast<std::size_t>(s);
-            const auto row = static_cast<std::size_t>(indices[su]);
-            const U ui_value = uvals[su];
-            const eid_t row_begin = csr.row_offsets[row];
-            for (std::int64_t k = local_begin; k < local_end; ++k) {
-              const auto e = static_cast<eid_t>(
-                  row_begin + static_cast<eid_t>(k));
-              combine_edge(static_cast<Index>(
-                               csr.col_indices[static_cast<std::size_t>(e)]),
-                           ui_value, e);
-            }
-          },
-          nullptr,
-          // Per edge: one column gather plus the CAS read-modify-write of
-          // the accumulator and the present-byte store. Mask early-outs and
-          // CAS retries are data-dependent and excluded (structural floor).
-          sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t) + sizeof(W)),
-                       static_cast<std::int64_t>(sizeof(W)) + 1});
-    } else {
-      detail::for_each_entry(
-          device, u,
-          [&](Index i, U ui_value) {
-            const auto row = static_cast<vid_t>(i);
-            const eid_t begin = csr.row_offsets[static_cast<std::size_t>(row)];
-            const eid_t end =
-                csr.row_offsets[static_cast<std::size_t>(row) + 1];
-            for (eid_t e = begin; e < end; ++e) {
-              combine_edge(static_cast<Index>(
-                               csr.col_indices[static_cast<std::size_t>(e)]),
-                           ui_value, e);
-            }
-          },
-          "grb::vxm_push");
+  if (!push) {
+    // The store writes w while rows gather u at neighbour positions, so a
+    // u that IS w is read from a snapshot.
+    std::optional<Vector<U>> snapshot;
+    if (static_cast<const void*>(&u) == static_cast<const void*>(&w)) {
+      snapshot.emplace(u);
     }
-  } else {
-    const detail::DenseView<U> uview(u, device);
-    device.launch(
-        "grb::vxm_pull", n,
-        [&](std::int64_t j) {
-          if (!view.allows(j)) return;
-          const auto row = static_cast<vid_t>(j);
-          const eid_t begin = csr.row_offsets[static_cast<std::size_t>(row)];
-          const eid_t end = csr.row_offsets[static_cast<std::size_t>(row) + 1];
+    const detail::DenseView<U> uview(snapshot ? *snapshot : u, device);
+    detail::store(
+        device, "grb::vxm_pull", w, view, desc.replace,
+        [&](Index j, W& out) {
+          const auto row = static_cast<std::size_t>(j);
           W acc = identity;
           bool hit = false;
-          for (eid_t e = begin; e < end; ++e) {
+          for (eid_t e = csr.row_offsets[row]; e < csr.row_offsets[row + 1];
+               ++e) {
             const auto i = static_cast<Index>(
                 csr.col_indices[static_cast<std::size_t>(e)]);
             if (!uview.has(i)) continue;
@@ -660,16 +469,123 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
                          static_cast<W>(a.value_at(e))))));
             hit = true;
           }
-          if (hit) {
-            out[static_cast<std::size_t>(j)] = acc;
-            present[static_cast<std::size_t>(j)] = 1;
-          }
+          out = acc;
+          return hit;
         },
-        sim::Schedule::kDynamic);
+        // Per position: the row-offset pair; the row's gathers are
+        // data-dependent and excluded (structural floor).
+        sim::Traffic{static_cast<std::int64_t>(2 * sizeof(eid_t)), 0});
+    return Info::kSuccess;
   }
 
-  detail::write_back(device, w, view, std::move(out), present,
-                     /*all_present=*/false, desc.replace);
+  const std::span<W> acc =
+      device.scratch().get<W>(sim::ScratchLane::kAccumulator, un);
+  const std::span<std::uint8_t> hit =
+      device.scratch().get<std::uint8_t>(sim::ScratchLane::kFlags, un);
+  std::fill(acc.begin(), acc.end(), identity);
+  std::fill(hit.begin(), hit.end(), std::uint8_t{0});
+
+  // Per-edge combine shared by both push schedules: CAS under the add
+  // monoid (integral W only — non-integral W was forced to pull above).
+  const auto combine_edge = [&](Index j, U ui_value, eid_t e) {
+    if (!view.allows(j)) return;
+    const W product = static_cast<W>(semiring.mul(
+        static_cast<W>(ui_value), static_cast<W>(a.value_at(e))));
+    if constexpr (std::is_integral_v<W>) {
+      std::atomic_ref<W> slot(acc[static_cast<std::size_t>(j)]);
+      W observed = slot.load(std::memory_order_relaxed);
+      W desired = static_cast<W>(semiring.add(observed, product));
+      while (desired != observed &&
+             !slot.compare_exchange_weak(observed, desired,
+                                         std::memory_order_relaxed)) {
+        desired = static_cast<W>(semiring.add(observed, product));
+      }
+      sim::atomic_store(hit[static_cast<std::size_t>(j)], std::uint8_t{1});
+    } else {
+      (void)product;
+    }
+  };
+
+  // Edge-balanced push (merge-path over a frontier degree scan): a hub
+  // row's scatter splits across workers instead of serializing on the one
+  // that drew the entry — the Gunrock-advance treatment applied to the
+  // GraphBLAST push traversal. Only once the frontier is large enough to
+  // amortize the scan's extra launches; small frontiers keep the
+  // single-launch row walk.
+  const bool balanced =
+      desc.push_edge_balanced && u.is_sparse() &&
+      static_cast<std::int64_t>(u.nvals()) >= kPushEdgeBalanceMinEntries;
+  if (balanced) {
+    const auto indices = u.sparse_indices();
+    const auto uvals = u.sparse_values();
+    const auto nvals = static_cast<std::int64_t>(indices.size());
+    const std::span<eid_t> offsets = device.scratch().get<eid_t>(
+        sim::ScratchLane::kDegrees, static_cast<std::size_t>(nvals) + 1);
+    device.launch(
+        "grb::vxm_degrees", nvals,
+        [&](std::int64_t k) {
+          const auto row =
+              static_cast<std::size_t>(indices[static_cast<std::size_t>(k)]);
+          offsets[static_cast<std::size_t>(k)] =
+              csr.row_offsets[row + 1] - csr.row_offsets[row];
+        },
+        sim::Schedule::kStatic, 0, nullptr,
+        // Per frontier entry: the index gather, the row-offset pair, and
+        // the degree store.
+        sim::Traffic{
+            static_cast<std::int64_t>(sizeof(Index) + 2 * sizeof(eid_t)),
+            static_cast<std::int64_t>(sizeof(eid_t))});
+    const eid_t total = sim::exclusive_scan<eid_t>(
+        device, offsets.first(static_cast<std::size_t>(nvals)),
+        offsets.first(static_cast<std::size_t>(nvals)));
+    offsets[static_cast<std::size_t>(nvals)] = total;
+    sim::for_each_segment_range<eid_t>(
+        device, "grb::vxm_push", offsets,
+        [&](std::int64_t s, std::int64_t local_begin, std::int64_t local_end,
+            std::int64_t /*global_begin*/) {
+          const auto su = static_cast<std::size_t>(s);
+          const auto row = static_cast<std::size_t>(indices[su]);
+          const U ui_value = uvals[su];
+          const eid_t row_begin = csr.row_offsets[row];
+          for (std::int64_t k = local_begin; k < local_end; ++k) {
+            const auto e =
+                static_cast<eid_t>(row_begin + static_cast<eid_t>(k));
+            combine_edge(static_cast<Index>(
+                             csr.col_indices[static_cast<std::size_t>(e)]),
+                         ui_value, e);
+          }
+        },
+        nullptr,
+        // Per edge: one column gather plus the CAS read-modify-write of
+        // the accumulator and the present-byte store. Mask early-outs and
+        // CAS retries are data-dependent and excluded (structural floor).
+        sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t) + sizeof(W)),
+                     static_cast<std::int64_t>(sizeof(W)) + 1});
+  } else {
+    detail::for_each_entry(
+        device, u,
+        [&](Index i, U ui_value) {
+          const auto row = static_cast<std::size_t>(i);
+          for (eid_t e = csr.row_offsets[row]; e < csr.row_offsets[row + 1];
+               ++e) {
+            combine_edge(static_cast<Index>(
+                             csr.col_indices[static_cast<std::size_t>(e)]),
+                         ui_value, e);
+          }
+        },
+        "grb::vxm_push");
+  }
+
+  detail::store(
+      device, "grb::vxm_merge", w, view, desc.replace,
+      [&](Index j, W& out) {
+        const auto uj = static_cast<std::size_t>(j);
+        out = acc[uj];
+        return hit[uj] != 0;
+      },
+      // Per position: the accumulator's hit byte and value, then the store.
+      sim::Traffic{1 + static_cast<std::int64_t>(sizeof(W)),
+                   static_cast<std::int64_t>(sizeof(W))});
   return Info::kSuccess;
 }
 
@@ -704,46 +620,48 @@ Info mxv(Vector<W>& w, std::nullptr_t, Semiring<AddMonoid, MulOp> semiring,
 
 // ---- GrB_reduce ---------------------------------------------------------------
 
-/// *out = monoid-reduction over u's stored entries. Missing positions
-/// contribute the monoid identity, so a single dense pass serves every
-/// storage kind.
+/// *out = monoid-reduction over u's stored entries: one slotted launch with
+/// per-slot partials, folded serially. Sparse storage reduces its entry
+/// list; dense and bitmap storage reduce positions, skipping absent ones.
 template <typename T, typename U, typename Op>
 Info reduce(T* out, Monoid<Op, T> monoid, const Vector<U>& u,
             const Descriptor& = kDefaultDesc) {
   if (out == nullptr) return Info::kInvalidValue;
   auto& device = sim::Device::instance();
-  if (u.is_sparse()) {
-    const auto values = u.sparse_values();
-    std::vector<T> cast(values.size());
-    device.launch(
-        "grb::reduce_cast", static_cast<std::int64_t>(values.size()),
-        [&](std::int64_t i) {
-          cast[static_cast<std::size_t>(i)] =
-              static_cast<T>(values[static_cast<std::size_t>(i)]);
-        },
-        sim::Schedule::kStatic, 0, nullptr,
-        // Per entry: one value gather and the widened store.
-        sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
-                     static_cast<std::int64_t>(sizeof(T))});
-    *out = sim::reduce<T>(device, cast, monoid.identity,
-                          [&](T x, T y) { return monoid(x, y); });
-    return Info::kSuccess;
-  }
-  const detail::DenseView<U> view(u, device);
-  std::vector<T> cast(static_cast<std::size_t>(u.size()));
-  device.launch(
-      "grb::reduce_cast", u.size(),
-      [&](std::int64_t i) {
-        cast[static_cast<std::size_t>(i)] =
-            view.has(i) ? static_cast<T>(view[i]) : monoid.identity;
+  const std::span<const U> values =
+      u.is_sparse() ? u.sparse_values() : u.dense_values();
+  const std::span<const std::uint8_t> present =
+      u.is_bitmap() ? u.bitmap_present() : std::span<const std::uint8_t>{};
+  const auto n = static_cast<std::int64_t>(values.size());
+  const std::span<T> partials =
+      device.scratch().get<T>(sim::ScratchLane::kPartials,
+                              device.num_workers());
+  device.launch_slots(
+      "grb::reduce",
+      [&](unsigned slot, unsigned num_slots) {
+        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
+        T local = monoid.identity;
+        for (std::int64_t i = begin; i < end; ++i) {
+          const auto ui = static_cast<std::size_t>(i);
+          if (present.empty() || present[ui] != 0) {
+            local = monoid(local, static_cast<T>(values[ui]));
+          }
+        }
+        partials[slot] = local;
       },
-      sim::Schedule::kStatic, 0, nullptr,
-      // Per position: the presence probe, the value gather, and the widened
-      // store.
-      sim::Traffic{1 + static_cast<std::int64_t>(sizeof(U)),
-                   static_cast<std::int64_t>(sizeof(T))});
-  *out = sim::reduce<T>(device, cast, monoid.identity,
-                        [&](T x, T y) { return monoid(x, y); });
+      nullptr,
+      [n, bitmap = !present.empty()](unsigned slot, unsigned num_slots) {
+        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
+        // Per position: the value gather (plus the present byte for bitmap
+        // storage); one partial per slot.
+        return sim::Traffic{
+            (end - begin) *
+                (static_cast<std::int64_t>(sizeof(U)) + (bitmap ? 1 : 0)),
+            static_cast<std::int64_t>(sizeof(T))};
+      });
+  T total = monoid.identity;
+  for (const T partial : partials) total = monoid(total, partial);
+  *out = total;
   return Info::kSuccess;
 }
 
@@ -764,7 +682,7 @@ Info scatter(Vector<W>& w, const Vector<M>* mask, const Vector<U>& u, T value,
     return Info::kDimensionMismatch;
   }
   auto& device = sim::Device::instance();
-  const detail::MaskView<M> view(mask, desc);
+  const detail::FastMaskView<M> view(mask, desc, device);
   auto wv = w.dense_values();
   const Index bound = w.size();
   detail::for_each_entry(

@@ -10,8 +10,8 @@
 //     listed hold no entry. Produced by set_element/build.
 //   - Dense: every position holds an entry; values_ has size() elements.
 //   - Bitmap: values_ has size() elements, present_ marks which positions
-//     hold entries, nvals_ counts them. Produced by masked operations so the
-//     merge step never pays an O(nvals) compaction.
+//     hold entries, nvals_ counts them. Produced by operations that leave
+//     some positions empty, so a store never pays an O(nvals) compaction.
 // Conversions never change semantics (which positions hold entries and
 // their values), except densify()'s documented fill.
 
@@ -72,7 +72,6 @@ class Vector {
   void fill(T value) {
     storage_ = Storage::kDense;
     indices_.clear();
-    present_.clear();
     values_.assign(static_cast<std::size_t>(size_), value);
     nvals_ = size_;
   }
@@ -219,14 +218,13 @@ class Vector {
     return values_;
   }
 
-  /// Install computed representations wholesale (used by ops.hpp so results
-  /// move in without copies). `indices` must be strictly ascending.
+  /// Install representations wholesale (tests build fixtures this way).
+  /// `indices` must be strictly ascending.
   void adopt_sparse(std::vector<Index>&& indices, std::vector<T>&& values) {
     assert(indices.size() == values.size());
     storage_ = Storage::kSparse;
     indices_ = std::move(indices);
     values_ = std::move(values);
-    present_.clear();
     nvals_ = 0;
   }
 
@@ -234,7 +232,6 @@ class Vector {
     assert(static_cast<Index>(values.size()) == size_);
     storage_ = Storage::kDense;
     indices_.clear();
-    present_.clear();
     values_ = std::move(values);
     nvals_ = size_;
   }
@@ -250,12 +247,47 @@ class Vector {
     nvals_ = nvals;
   }
 
+  /// Output buffers of ops.hpp's in-place store: value and presence spans
+  /// over size() positions that keep their old contents (reused, never
+  /// re-initialized), so the store reads an old entry right before it
+  /// overwrites it. `present` is stale when `dense`. Sparse entries are
+  /// scattered in when `keep` is set, dropped otherwise. commit_store
+  /// installs the result.
+  struct StoreSlots {
+    std::span<T> values;
+    std::span<std::uint8_t> present;
+    bool dense;
+  };
+  StoreSlots store_slots(bool keep) {
+    const auto n = static_cast<std::size_t>(size_);
+    const bool dense = storage_ == Storage::kDense;
+    if (storage_ == Storage::kSparse) {
+      values_.resize(n);
+      present_.assign(n, 0);
+      // Back to front: indices_[k] >= k, so no unread value is overwritten.
+      for (std::size_t k = keep ? indices_.size() : 0; k-- > 0;) {
+        const auto i = static_cast<std::size_t>(indices_[k]);
+        values_[i] = values_[k];
+        present_[i] = 1;
+      }
+      indices_.clear();
+    }
+    present_.resize(n);
+    return {values_, present_, dense};
+  }
+
+  /// Installs a store's result: dense when every position holds an entry.
+  void commit_store(Index nvals) noexcept {
+    storage_ = nvals == size_ ? Storage::kDense : Storage::kBitmap;
+    nvals_ = nvals;
+  }
+
  private:
   Index size_ = 0;
   Storage storage_ = Storage::kSparse;
   std::vector<T> values_;
   std::vector<Index> indices_;         // sparse only
-  std::vector<std::uint8_t> present_;  // bitmap only
+  std::vector<std::uint8_t> present_;  // bitmap; a reused buffer otherwise
   Index nvals_ = 0;                    // bitmap only
 };
 

@@ -39,13 +39,14 @@ namespace gcol::sim {
 enum class ScratchLane : unsigned {
   kBlockSums = 0,  ///< scan: per-slot block sums
   kPartials,       ///< reduce / count_if: per-slot partials
-  kFlags,          ///< compaction: per-item predicate flags
+  kFlags,          ///< compaction predicate flags; push vxm hit bytes
   kSlotCounts,     ///< compaction: per-slot kept counts
   kDegrees,        ///< advance / push vxm: per-item degrees -> offsets
   kCarries,        ///< fused segmented reduce: per-slot boundary carries
   kPalette,        ///< bit-packed forbidden-color masks (per-slot words)
   kFrontier,       ///< bitmap push: materialized set-bit vertex list
   kHistogram,      ///< histogram / counting sort: per-slot per-bin counts
+  kAccumulator,    ///< push vxm: per-position accumulator values
   kLaneCount,
 };
 

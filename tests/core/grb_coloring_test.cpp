@@ -191,5 +191,35 @@ TEST(GrbFusedTail, DenseMaskRoundsUseFusedKernels) {
   }
 }
 
+// ---- One-pass stores (every grb:: op merges and counts in its launch) ------
+
+/// Launch counts on the graph below when each op still merged through a
+/// separate write_back launch and counted with sim::count_if. The one-pass
+/// store must come in strictly under.
+constexpr std::uint64_t kTwoPassIs = 126;
+constexpr std::uint64_t kTwoPassJpl = 139;
+constexpr std::uint64_t kTwoPassMis = 361;
+
+TEST(GrbOnePassStore, NoMergeOrCountLaunches) {
+  const auto csr = graph::build_csr(graph::generate_rgg(9, {.seed = 4}));
+  const UnfusedLaunches cases[] = {
+      {"grb_is", [](const graph::Csr& g) { return grb_is_color(g); },
+       kTwoPassIs},
+      {"grb_jpl", [](const graph::Csr& g) { return grb_jpl_color(g); },
+       kTwoPassJpl},
+      {"grb_mis", [](const graph::Csr& g) { return grb_mis_color(g); },
+       kTwoPassMis},
+  };
+  for (const UnfusedLaunches& c : cases) {
+    const Coloring result = c.run(csr);
+    EXPECT_TRUE(is_valid_coloring(csr, result.colors)) << c.name;
+    for (const char* kernel : {"grb::write_back", "sim::count_if"}) {
+      EXPECT_EQ(result.metrics.kernel(kernel), nullptr)
+          << c.name << " launched " << kernel;
+    }
+    EXPECT_LT(result.kernel_launches, c.launches) << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace gcol::color

@@ -3,14 +3,19 @@
 // bitmap representations under the hood) and to a trivially-correct
 // reference model (index -> value map). After every operation the two must
 // agree exactly on structure and values. This is the test that catches
-// representation-conversion bugs no hand-written case thinks of.
+// representation-conversion bugs no hand-written case thinks of. The ops
+// store in place, so the sequence also aliases the output with its input
+// and with its own mask.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 
 #include "../testing/fixtures.hpp"
+#include "graph/generators/erdos_renyi.hpp"
 #include "graphblas/grb.hpp"
 #include "sim/rng.hpp"
 
@@ -54,6 +59,10 @@ TEST_P(ModelCheckTest, RandomOpSequenceAgreesWithReference) {
 
   Vector<Value> w(kSize), u(kSize), mask(kSize);
   Model w_model, u_model, mask_model;
+  // A small random graph for vxm (pattern matrix: every A(i, j) is 1).
+  const graph::Csr csr =
+      graph::build_csr(graph::generate_erdos_renyi(kSize, 80, GetParam()));
+  const Matrix<Value> adjacency(csr);
 
   // Keep u and mask in fixed random states (sparse-ish) refreshed rarely;
   // mutate w with random masked operations.
@@ -71,16 +80,26 @@ TEST_P(ModelCheckTest, RandomOpSequenceAgreesWithReference) {
   refresh(u, u_model, 60);
   refresh(mask, mask_model, 50);
 
-  for (int step = 0; step < 300; ++step) {
-    const std::uint64_t op = draw(8);
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = draw(11);
     const bool use_mask = draw(2) == 0;
     Descriptor desc;
     desc.replace = draw(3) == 0;
     desc.mask_complement = use_mask && draw(3) == 0;
+    desc.mask_structure = use_mask && draw(4) == 0;
     const Vector<Value>* mask_ptr = use_mask ? &mask : nullptr;
+    // The model of whichever vector masks this step (w itself in some).
+    const Model* mask_source = &mask_model;
+    const Model w_before = w_model;
+    auto mask_with_w = [&] {
+      mask_ptr = &w;
+      mask_source = &w_before;
+    };
     auto allows = [&](Index i) {
       if (!use_mask) return !desc.mask_complement;
-      const bool set = model_mask_allows(mask_model, i);
+      const bool set = desc.mask_structure
+                           ? mask_source->count(i) != 0
+                           : model_mask_allows(*mask_source, i);
       return desc.mask_complement ? !set : set;
     };
     // Generic model write-back for an op whose produced entries are given
@@ -162,6 +181,51 @@ TEST_P(ModelCheckTest, RandomOpSequenceAgreesWithReference) {
         Value expected = 0;
         for (const auto& [i, value] : w_model) expected += value;
         ASSERT_EQ(total, expected) << "step " << step;
+        break;
+      }
+      case 8: {  // vxm max-times, pull or push; input u or w itself
+        desc.vxm_mode = draw(2) == 0 ? VxmMode::kPull : VxmMode::kPush;
+        const bool self_input = draw(3) == 0;
+        if (use_mask && draw(3) == 0) mask_with_w();
+        const Model& input = self_input ? w_before : u_model;
+        ASSERT_EQ(vxm(w, mask_ptr, max_times_semiring<Value>(),
+                      self_input ? w : u, adjacency, desc),
+                  Info::kSuccess);
+        model_write_back([&](Index j) -> std::optional<Value> {
+          std::optional<Value> acc;
+          const auto row = static_cast<std::size_t>(j);
+          for (eid_t e = csr.row_offsets[row]; e < csr.row_offsets[row + 1];
+               ++e) {
+            const auto it = input.find(
+                static_cast<Index>(csr.col_indices[static_cast<std::size_t>(e)]));
+            if (it == input.end()) continue;
+            acc = std::max(
+                acc.value_or(std::numeric_limits<Value>::lowest()),
+                it->second);
+          }
+          return acc;
+        });
+        break;
+      }
+      case 9: {  // in-place apply w<mask> = f(w), the mask maybe w itself
+        if (use_mask && draw(2) == 0) mask_with_w();
+        // A bounded map, so repeated steps cannot overflow.
+        ASSERT_EQ(
+            apply(w, mask_ptr, [](Value x) { return x % 7 + 1; }, w, desc),
+            Info::kSuccess);
+        model_write_back([&](Index i) -> std::optional<Value> {
+          const auto it = w_before.find(i);
+          if (it == w_before.end()) return std::nullopt;
+          return it->second % 7 + 1;
+        });
+        break;
+      }
+      case 10: {  // assign with w as its own mask (when masked at all)
+        if (use_mask) mask_with_w();
+        const auto value = static_cast<Value>(draw(3));  // zeros included
+        ASSERT_EQ(assign(w, mask_ptr, value, desc), Info::kSuccess);
+        model_write_back(
+            [&](Index) { return std::optional<Value>(value); });
         break;
       }
       default: {  // densify with a random fill
