@@ -10,7 +10,6 @@
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/atomics.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
@@ -47,23 +46,31 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   if (n == 0) return result;
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
 
-  // Draws and tie ids key on original vertex ids, so the priority of a
-  // logical vertex — and the whole BSP race-free coloring — is invariant to
-  // the registry's reorder strategies.
-  std::vector<std::int32_t> random(un);
-  const sim::CounterRng rng(options.seed);
-  device.launch("gunrock_ar::init_random", n, [&](std::int64_t v) {
-    random[static_cast<std::size_t>(v)] = rng.uniform_int31(
-        static_cast<std::uint64_t>(options.original_id(
-            static_cast<vid_t>(v))));
-  });
-  const auto priority_of = [&](vid_t v) {
-    return packed_priority(random[static_cast<std::size_t>(v)],
-                           options.original_id(v));
-  };
-
-  constexpr std::int64_t kNoNeighbor = std::numeric_limits<std::int64_t>::min();
+  // live[v] is v's packed priority while v is uncolored at the start of a
+  // round, and kColored (the max identity) from the round after it is
+  // colored. Draws and tie ids key on original vertex ids, so the priority
+  // of a logical vertex — and the whole coloring — is invariant to the
+  // registry's reorder strategies. Only the init launch and the frontier
+  // rebuild write live[]; only the neighbor-reduce reads it. A neighbor
+  // colored during this round's reduce therefore still competes with the
+  // priority it began the round with (Algorithm 5 line 26), or two adjacent
+  // extrema could both claim a color, and no launch reads colors[] while
+  // another of its workers writes them.
+  constexpr std::int64_t kColored = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t kNoNeighborMin = kNoColor;  // +inf: min identity
+  std::vector<std::int64_t> live(un);
+  const sim::CounterRng rng(options.seed);
+  device.launch(
+      "gunrock_ar::init_live", n,
+      [&](std::int64_t v) {
+        const vid_t orig = options.original_id(static_cast<vid_t>(v));
+        live[static_cast<std::size_t>(v)] = packed_priority(
+            rng.uniform_int31(static_cast<std::uint64_t>(orig)), orig);
+      },
+      sim::Schedule::kStatic, 0, nullptr,
+      sim::Traffic{options.original_ids.empty() ? 0 : gr::kVidBytes,
+                   static_cast<std::int64_t>(sizeof(std::int64_t))});
+
   std::int32_t* colors = result.colors.data();
   // Bitmap modes route the segment reduction through neighbor_reduce_bits,
   // whose finalize is keyed by vertex id instead of frontier slot — the
@@ -77,68 +84,52 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   std::vector<vid_t> spare;  // sparse-list double buffer
   std::vector<std::uint64_t> spare_words;  // bitmap double buffer
 
-  // Frontier rebuild predicate: still-uncolored vertices survive. colors[v]
-  // is written only by v's own word owner, so the plain read never races.
+  // Frontier rebuild predicate: still-uncolored vertices survive; the ones
+  // this round colored leave the comparison from the next round on.
   const auto survive_op = [&](vid_t v) {
-    return colors[static_cast<std::size_t>(v)] == kUncolored;
+    const auto uv = static_cast<std::size_t>(v);
+    if (colors[uv] == kUncolored) return true;
+    live[uv] = kColored;
+    return false;
   };
+
+  // Segment max (min-max pair when fused) of the neighbors' live[] entries;
+  // every neighbor is visited, with no branch on its state.
+  const auto max_map = [&](vid_t /*src*/, vid_t u) {
+    return live[static_cast<std::size_t>(u)];
+  };
+  const auto max_reduce = [](std::int64_t a, std::int64_t b) {
+    return b > a ? b : a;
+  };
+  const auto mm_map = [&](vid_t /*src*/, vid_t u) {
+    const std::int64_t p = live[static_cast<std::size_t>(u)];
+    return MinMaxPair{p, p == kColored ? kNoNeighborMin : p};
+  };
+  const auto mm_reduce = [](MinMaxPair a, MinMaxPair b) {
+    return MinMaxPair{b.max > a.max ? b.max : a.max,
+                      b.min < a.min ? b.min : a.min};
+  };
+  constexpr MinMaxPair mm_identity{kColored, kNoNeighborMin};
 
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
   gr::Enactor enactor(device, options.max_iterations);
   const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
     const obs::ScopedPhase phase("gunrock_ar::round");
-    // The fused neighbor-reduce colors sources inline while other workers
-    // are still reading their neighborhoods, so (as in Algorithm 5 line 26)
-    // a neighbor racily colored THIS iteration must still contribute its
-    // priority — it was uncolored when the iteration began — or two
-    // adjacent extrema could both claim a color. Only earlier iterations'
-    // colors remove a neighbor from the comparison.
-    //
-    // ONE fused pass produces both extremes AND assigns the two mutually-
-    // exclusive independent sets' colors in its finalize (fused_minmax).
-    const auto mm_map = [&](vid_t /*src*/, vid_t u) {
-      const std::int32_t color = 2 * iteration;
-      const std::int32_t cu =
-          sim::atomic_load(colors[static_cast<std::size_t>(u)]);
-      if (cu != kUncolored && cu != color && cu != color + 1) {
-        return MinMaxPair{kNoNeighbor, kNoNeighborMin};
-      }
-      const std::int64_t p = priority_of(u);
-      return MinMaxPair{p, p};
-    };
-    const auto mm_reduce = [](MinMaxPair a, MinMaxPair b) {
-      return MinMaxPair{b.max > a.max ? b.max : a.max,
-                        b.min < a.min ? b.min : a.min};
-    };
-    constexpr MinMaxPair mm_identity{kNoNeighbor, kNoNeighborMin};
+    // The reduce's finalize colors each frontier member: the local maxima
+    // (ColorRemovedOp inlined), or with fused_minmax the two mutually-
+    // exclusive independent sets of one (max, min) pass.
     const auto mm_finalize = [&](vid_t v, MinMaxPair extreme) {
-      const std::int32_t color = 2 * iteration;
       const auto uv = static_cast<std::size_t>(v);
-      const std::int64_t mine = priority_of(v);
-      if (mine > extreme.max) {
-        sim::atomic_store(colors[uv], color);
-      } else if (mine < extreme.min) {
-        sim::atomic_store(colors[uv], color + 1);
+      if (live[uv] > extreme.max) {
+        colors[uv] = 2 * iteration;
+      } else if (live[uv] < extreme.min) {
+        colors[uv] = 2 * iteration + 1;
       }
-    };
-
-    // Same fusion, single extremum: segment-max the packed priorities and
-    // color the local maxima in the finalize (ColorRemovedOp inlined).
-    const auto max_map = [&](vid_t /*src*/, vid_t u) {
-      const std::int32_t cu =
-          sim::atomic_load(colors[static_cast<std::size_t>(u)]);
-      return cu == kUncolored || cu == iteration ? priority_of(u)
-                                                 : kNoNeighbor;
-    };
-    const auto max_reduce = [](std::int64_t a, std::int64_t b) {
-      return b > a ? b : a;
     };
     const auto max_finalize = [&](vid_t v, std::int64_t neighbor_max) {
       const auto uv = static_cast<std::size_t>(v);
-      if (priority_of(v) > neighbor_max) {
-        sim::atomic_store(colors[uv], iteration);
-      }
+      if (live[uv] > neighbor_max) colors[uv] = iteration;
     };
 
     result.metrics.push("frontier", frontier.size());
@@ -157,11 +148,11 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
     } else {
       if (bitmap) {
         gr::neighbor_reduce_bits<std::int64_t>(device, csr, frontier, max_map,
-                                               max_reduce, kNoNeighbor,
+                                               max_reduce, kColored,
                                                max_finalize);
       } else {
         gr::neighbor_reduce_fused<std::int64_t>(
-            device, csr, frontier, max_map, max_reduce, kNoNeighbor,
+            device, csr, frontier, max_map, max_reduce, kColored,
             [&](std::int64_t i, std::int64_t neighbor_max) {
               max_finalize(frontier.vertex(i), neighbor_max);
             });

@@ -1,6 +1,7 @@
 #include "core/naumov.hpp"
 
 #include <array>
+#include <bit>
 #include <vector>
 
 #include "core/verify.hpp"
@@ -149,44 +150,43 @@ Coloring naumov_cc_color(const graph::Csr& csr,
     const auto v = static_cast<vid_t>(vi);
     const auto uv = static_cast<std::size_t>(v);
     if (colors[uv] != kUncolored) return;
-    // Evaluate all hash functions in a single neighbor pass.
-    std::array<bool, kMaxHashes> is_max{};
-    std::array<bool, kMaxHashes> is_min{};
+    // Evaluate all hash functions in a single neighbor pass. Role bit 2h is
+    // hash h's local maximum and bit 2h + 1 its minimum, so the first
+    // winning role is the lowest surviving bit.
     std::array<std::int64_t, kMaxHashes> mine{};
+    const vid_t orig_v = options.original_id(v);
     for (std::int32_t h = 0; h < num_hashes; ++h) {
-      is_max[static_cast<std::size_t>(h)] = true;
-      is_min[static_cast<std::size_t>(h)] = true;
       mine[static_cast<std::size_t>(h)] = hash_priority(
           options.seed + static_cast<std::uint64_t>(h) * 0x9e37u,
-          static_cast<std::uint32_t>(iteration), options.original_id(v));
+          static_cast<std::uint32_t>(iteration), orig_v);
     }
-    for (const vid_t u : csr.neighbors(v)) {
+    std::uint32_t roles = (std::uint32_t{1} << (2 * num_hashes)) - 1;
+    // A list longer than the role count leaves once every role is lost: no
+    // later neighbor can win one back. Short (mesh) lists skip the test,
+    // whose cost there exceeds the few neighbors it would save.
+    const auto adj = csr.neighbors(v);
+    const bool may_leave =
+        adj.size() > static_cast<std::size_t>(2 * num_hashes);
+    for (const vid_t u : adj) {
       // As in JPL: only skip neighbors finalized before this iteration.
       const std::int32_t cu =
           sim::atomic_load(colors[static_cast<std::size_t>(u)]);
       if (cu != kUncolored && cu < color_base) continue;
+      const vid_t orig_u = options.original_id(u);
       for (std::int32_t h = 0; h < num_hashes; ++h) {
         const std::int64_t theirs = hash_priority(
             options.seed + static_cast<std::uint64_t>(h) * 0x9e37u,
-            static_cast<std::uint32_t>(iteration), options.original_id(u));
-        if (theirs > mine[static_cast<std::size_t>(h)]) {
-          is_max[static_cast<std::size_t>(h)] = false;
-        }
-        if (theirs < mine[static_cast<std::size_t>(h)]) {
-          is_min[static_cast<std::size_t>(h)] = false;
-        }
+            static_cast<std::uint32_t>(iteration), orig_u);
+        const std::int64_t ours = mine[static_cast<std::size_t>(h)];
+        const std::uint32_t lost = (theirs > ours ? 1u : 0u) |
+                                   (theirs < ours ? 2u : 0u);
+        roles &= ~(lost << (2 * h));
       }
+      if (may_leave && roles == 0) return;
     }
     // First winning role claims its reserved color for this iteration.
-    for (std::int32_t h = 0; h < num_hashes; ++h) {
-      if (is_max[static_cast<std::size_t>(h)]) {
-        sim::atomic_store(colors[uv], color_base + 2 * h);
-        return;
-      }
-      if (is_min[static_cast<std::size_t>(h)]) {
-        sim::atomic_store(colors[uv], color_base + 2 * h + 1);
-        return;
-      }
+    if (roles != 0) {
+      sim::atomic_store(colors[uv], color_base + std::countr_zero(roles));
     }
   };
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
 #include "../testing/fixtures.hpp"
 #include "core/gunrock_ar.hpp"
 #include "core/gunrock_hash.hpp"
@@ -7,6 +11,8 @@
 #include "core/verify.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graph/generators/rgg.hpp"
+#include "graph/generators/rmat.hpp"
+#include "sim/rng.hpp"
 
 namespace gcol::color {
 namespace {
@@ -201,6 +207,123 @@ TEST(GunrockAr, FusedMinMaxHalvesIterations) {
 TEST(GunrockAr, DeterministicForSeed) {
   const auto csr = graph::build_csr(graph::generate_rgg(9, {.seed = 2}));
   EXPECT_EQ(gunrock_ar_color(csr).colors, gunrock_ar_color(csr).colors);
+}
+
+// ---- Gunrock AR serial oracle ----------------------------------------------
+
+/// Host-only reference of Algorithm 7's round rule, one vertex at a time: a
+/// vertex uncolored at the start of round r whose packed priority beats
+/// every neighbor uncolored at the start of round r takes color r, or with
+/// `fused` color 2r as a local maximum and 2r + 1 as a local minimum.
+/// Neighbors colored in round r still compete within it.
+Coloring ar_oracle(const graph::Csr& csr, const GunrockArOptions& options) {
+  const auto un = static_cast<std::size_t>(csr.num_vertices);
+  const sim::CounterRng rng(options.seed);
+  std::vector<std::int64_t> priority(un);
+  for (vid_t v = 0; v < csr.num_vertices; ++v) {
+    const vid_t orig = options.original_id(v);
+    priority[static_cast<std::size_t>(v)] =
+        (static_cast<std::int64_t>(
+             rng.uniform_int31(static_cast<std::uint64_t>(orig)))
+         << 32) |
+        static_cast<std::int64_t>(static_cast<std::uint32_t>(orig));
+  }
+  Coloring oracle;
+  oracle.colors.assign(un, kUncolored);
+  while (std::count(oracle.colors.begin(), oracle.colors.end(), kUncolored) >
+         0) {
+    const std::int32_t r = oracle.iterations++;
+    std::vector<std::int32_t> next = oracle.colors;
+    for (vid_t v = 0; v < csr.num_vertices; ++v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (oracle.colors[uv] != kUncolored) continue;
+      bool is_max = true;
+      bool is_min = true;
+      for (const vid_t u : csr.neighbors(v)) {
+        const auto uu = static_cast<std::size_t>(u);
+        if (oracle.colors[uu] != kUncolored) continue;
+        is_max = is_max && priority[uu] < priority[uv];
+        is_min = is_min && priority[uu] > priority[uv];
+      }
+      if (is_max) {
+        next[uv] = options.fused_minmax ? 2 * r : r;
+      } else if (options.fused_minmax && is_min) {
+        next[uv] = 2 * r + 1;
+      }
+    }
+    oracle.colors = std::move(next);
+  }
+  return oracle;
+}
+
+/// The fixtures plus hub-heavy graphs, where a hub's neighbor segment
+/// splits across workers and its neighbors finalize while it is reduced.
+std::vector<graph::Csr> oracle_graphs() {
+  std::vector<graph::Csr> graphs = fixture_graphs();
+  graphs.push_back(star_graph(4096));
+  graphs.push_back(clique_graph(40));
+  graphs.push_back(graph::build_csr(graph::generate_rmat(10)));
+  return graphs;
+}
+
+TEST(GunrockAr, MatchesSerialOracleInEveryMode) {
+  for (const bool fused : {false, true}) {
+    for (const auto mode :
+         {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
+          gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+      GunrockArOptions options;
+      options.fused_minmax = fused;
+      options.frontier_mode = mode;
+      for (const auto& csr : oracle_graphs()) {
+        const Coloring oracle = ar_oracle(csr, options);
+        const Coloring result = gunrock_ar_color(csr, options);
+        EXPECT_EQ(result.colors, oracle.colors)
+            << "n=" << csr.num_vertices << " fused=" << fused
+            << " mode=" << gr::to_string(mode);
+        EXPECT_EQ(result.iterations, oracle.iterations)
+            << "n=" << csr.num_vertices << " fused=" << fused
+            << " mode=" << gr::to_string(mode);
+      }
+    }
+  }
+}
+
+TEST(GunrockAr, MatchesSerialOracleUnderRelabeledIds) {
+  // Priorities key on original ids: a reversed id map must draw them from
+  // the caller's numbering, exactly as the oracle does.
+  const auto csr = graph::build_csr(graph::generate_rmat(10));
+  std::vector<vid_t> reversed(static_cast<std::size_t>(csr.num_vertices));
+  std::iota(reversed.rbegin(), reversed.rend(), vid_t{0});
+  for (const bool fused : {false, true}) {
+    GunrockArOptions options;
+    options.fused_minmax = fused;
+    options.original_ids = reversed;
+    const Coloring oracle = ar_oracle(csr, options);
+    const Coloring result = gunrock_ar_color(csr, options);
+    EXPECT_EQ(result.colors, oracle.colors) << "fused=" << fused;
+    EXPECT_EQ(result.iterations, oracle.iterations) << "fused=" << fused;
+  }
+}
+
+TEST(GunrockAr, InitLaunchDeclaresItsTraffic) {
+  // One 8-byte live[] store per vertex, plus the 4-byte original-id read
+  // when the graph is relabeled.
+  const auto csr = graph::build_csr(graph::generate_rmat(10));
+  const auto n = static_cast<std::int64_t>(csr.num_vertices);
+  std::vector<vid_t> reversed(static_cast<std::size_t>(n));
+  std::iota(reversed.rbegin(), reversed.rend(), vid_t{0});
+  GunrockArOptions relabeled;
+  relabeled.original_ids = reversed;
+  for (const auto& [options, read] :
+       {std::pair{GunrockArOptions{}, std::int64_t{0}},
+        std::pair{relabeled, 4 * n}}) {
+    const Coloring result = gunrock_ar_color(csr, options);
+    const obs::KernelStat* init =
+        result.metrics.kernel("gunrock_ar::init_live");
+    ASSERT_NE(init, nullptr);
+    EXPECT_EQ(init->bytes_written, 8 * n);
+    EXPECT_EQ(init->bytes_read, read);
+  }
 }
 
 }  // namespace
