@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/live.hpp"
 #include "core/verify.hpp"
 #include "gunrock/enactor.hpp"
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/trace.hpp"
-#include "sim/atomics.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
@@ -67,7 +67,7 @@ Coloring distance2_color(const graph::Csr& csr,
 
   // The distance-2 neighborhood has size <= max_degree^2; first-fit always
   // finds a color within it.
-  auto min_available = [&](vid_t v, const std::int32_t* read_colors) {
+  auto min_available = [&](vid_t v) {
     // Bounded bitmap over candidate colors [0, d2_bound].
     std::vector<std::uint64_t> forbidden;
     std::size_t bound = 64;
@@ -82,7 +82,7 @@ Coloring distance2_color(const graph::Csr& csr,
       forbidden[uc / 64] |= std::uint64_t{1} << (uc % 64);
     };
     for_each_distance2(csr, v, [&](vid_t u) {
-      mark(read_colors[static_cast<std::size_t>(u)]);
+      mark(colors[static_cast<std::size_t>(u)]);
     });
     std::int32_t c = 0;
     while (static_cast<std::size_t>(c) < bound &&
@@ -96,49 +96,40 @@ Coloring distance2_color(const graph::Csr& csr,
 
   if (!options.parallel) {
     for (vid_t v = 0; v < n; ++v) {
-      colors[static_cast<std::size_t>(v)] = min_available(v, colors);
+      colors[static_cast<std::size_t>(v)] = min_available(v);
     }
     result.iterations = 1;
   } else {
-    std::vector<std::int64_t> priority(un);
+    // live[v] is v's priority until the filter retires it with
+    // kColoredPriority, between launches (DESIGN.md §3b, "The live-state
+    // rule"), so the result is deterministic for any worker interleaving
+    // and first-fit reads colors[] that only earlier launches wrote.
+    std::vector<std::int64_t> live(un);
     const sim::CounterRng rng(options.seed, 0xD257);
     device.launch("distance2::priority_init", n, [&](std::int64_t v) {
-      priority[static_cast<std::size_t>(v)] =
-          (static_cast<std::int64_t>(
-               rng.uniform_int31(static_cast<std::uint64_t>(v)))
-           << 32) |
-          static_cast<std::int64_t>(v);
+      live[static_cast<std::size_t>(v)] =
+          packed_priority(rng.uniform_int31(static_cast<std::uint64_t>(v)),
+                          static_cast<vid_t>(v));
     });
 
     gr::Frontier frontier = gr::Frontier::all(n);
-    // Snapshot-based rounds: all reads target the previous round's colors,
-    // making the result deterministic for any worker interleaving.
-    std::vector<std::int32_t> snapshot(result.colors);
     const std::uint64_t launches_before = device.launch_count();
     gr::Enactor enactor(device, options.max_iterations);
     const gr::EnactorStats stats = enactor.enact([&](std::int32_t) {
       const obs::ScopedPhase phase("distance2::round");
       gr::compute(device, frontier, [&](vid_t v) {
-        const auto uv = static_cast<std::size_t>(v);
-        if (snapshot[uv] != kUncolored) return;
-        const std::int64_t mine = priority[uv];
+        const std::int64_t mine = live[static_cast<std::size_t>(v)];
         bool blocked = false;
         for_each_distance2(csr, v, [&](vid_t u) {
-          if (!blocked &&
-              snapshot[static_cast<std::size_t>(u)] == kUncolored &&
-              priority[static_cast<std::size_t>(u)] > mine) {
-            blocked = true;
-          }
+          blocked = blocked || live[static_cast<std::size_t>(u)] > mine;
         });
-        if (blocked) return;
-        colors[uv] = min_available(v, snapshot.data());
-      });
-      device.launch("distance2::publish_snapshot", n, [&](std::int64_t i) {
-        snapshot[static_cast<std::size_t>(i)] =
-            colors[static_cast<std::size_t>(i)];
+        if (!blocked) colors[static_cast<std::size_t>(v)] = min_available(v);
       });
       frontier = gr::filter(device, frontier, [&](vid_t v) {
-        return colors[static_cast<std::size_t>(v)] == kUncolored;
+        const auto uv = static_cast<std::size_t>(v);
+        if (colors[uv] == kUncolored) return true;
+        live[uv] = kColoredPriority;
+        return false;
       });
       return !frontier.is_empty();
     });

@@ -1,29 +1,20 @@
 #include "core/gunrock_ar.hpp"
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "core/live.hpp"
 #include "core/verify.hpp"
 #include "gunrock/enactor.hpp"
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
 
 namespace {
-
-/// Packed priority: random weight in the high bits, vertex id below, so a
-/// plain int64 max doubles as a tie-broken argmax (the ReduceMaxOp of
-/// Algorithm 7).
-inline std::int64_t packed_priority(std::int32_t r, vid_t v) noexcept {
-  return (static_cast<std::int64_t>(r) << 32) |
-         static_cast<std::int64_t>(static_cast<std::uint32_t>(v));
-}
 
 /// Element of the fused reduction: the (max, min) pair of packed priorities
 /// over a neighbor segment, combined component-wise.
@@ -47,29 +38,16 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
 
   // live[v] is v's packed priority while v is uncolored at the start of a
-  // round, and kColored (the max identity) from the round after it is
-  // colored. Draws and tie ids key on original vertex ids, so the priority
-  // of a logical vertex — and the whole coloring — is invariant to the
-  // registry's reorder strategies. Only the init launch and the frontier
-  // rebuild write live[]; only the neighbor-reduce reads it. A neighbor
-  // colored during this round's reduce therefore still competes with the
-  // priority it began the round with (Algorithm 5 line 26), or two adjacent
-  // extrema could both claim a color, and no launch reads colors[] while
-  // another of its workers writes them.
-  constexpr std::int64_t kColored = std::numeric_limits<std::int64_t>::min();
+  // round, and kColoredPriority (the max identity) from the round after it
+  // is colored. Only the init launch and the frontier rebuild write live[];
+  // only the neighbor-reduce reads it. A neighbor colored during this
+  // round's reduce therefore still competes with the priority it began the
+  // round with (Algorithm 5 line 26), or two adjacent extrema could both
+  // claim a color, and no launch reads colors[] while another of its
+  // workers writes them.
   constexpr std::int64_t kNoNeighborMin = kNoColor;  // +inf: min identity
-  std::vector<std::int64_t> live(un);
-  const sim::CounterRng rng(options.seed);
-  device.launch(
-      "gunrock_ar::init_live", n,
-      [&](std::int64_t v) {
-        const vid_t orig = options.original_id(static_cast<vid_t>(v));
-        live[static_cast<std::size_t>(v)] = packed_priority(
-            rng.uniform_int31(static_cast<std::uint64_t>(orig)), orig);
-      },
-      sim::Schedule::kStatic, 0, nullptr,
-      sim::Traffic{options.original_ids.empty() ? 0 : gr::kVidBytes,
-                   static_cast<std::int64_t>(sizeof(std::int64_t))});
+  std::vector<std::int64_t> live =
+      random_priorities(device, "gunrock_ar::init_live", n, options);
 
   std::int32_t* colors = result.colors.data();
   // Bitmap modes route the segment reduction through neighbor_reduce_bits,
@@ -89,7 +67,7 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   const auto survive_op = [&](vid_t v) {
     const auto uv = static_cast<std::size_t>(v);
     if (colors[uv] == kUncolored) return true;
-    live[uv] = kColored;
+    live[uv] = kColoredPriority;
     return false;
   };
 
@@ -103,13 +81,13 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   };
   const auto mm_map = [&](vid_t /*src*/, vid_t u) {
     const std::int64_t p = live[static_cast<std::size_t>(u)];
-    return MinMaxPair{p, p == kColored ? kNoNeighborMin : p};
+    return MinMaxPair{p, p == kColoredPriority ? kNoNeighborMin : p};
   };
   const auto mm_reduce = [](MinMaxPair a, MinMaxPair b) {
     return MinMaxPair{b.max > a.max ? b.max : a.max,
                       b.min < a.min ? b.min : a.min};
   };
-  constexpr MinMaxPair mm_identity{kColored, kNoNeighborMin};
+  constexpr MinMaxPair mm_identity{kColoredPriority, kNoNeighborMin};
 
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
@@ -148,11 +126,11 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
     } else {
       if (bitmap) {
         gr::neighbor_reduce_bits<std::int64_t>(device, csr, frontier, max_map,
-                                               max_reduce, kColored,
+                                               max_reduce, kColoredPriority,
                                                max_finalize);
       } else {
         gr::neighbor_reduce_fused<std::int64_t>(
-            device, csr, frontier, max_map, max_reduce, kColored,
+            device, csr, frontier, max_map, max_reduce, kColoredPriority,
             [&](std::int64_t i, std::int64_t neighbor_max) {
               max_finalize(frontier.vertex(i), neighbor_max);
             });

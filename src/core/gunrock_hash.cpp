@@ -3,6 +3,7 @@
 #include <atomic>
 #include <vector>
 
+#include "core/live.hpp"
 #include "core/verify.hpp"
 #include "gunrock/enactor.hpp"
 #include "gunrock/frontier.hpp"
@@ -11,19 +12,9 @@
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
 #include "sim/reduce.hpp"
-#include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
-
-namespace {
-
-inline bool priority_less(std::int32_t ra, vid_t a, std::int32_t rb,
-                          vid_t b) noexcept {
-  return ra < rb || (ra == rb && a < b);
-}
-
-}  // namespace
 
 Coloring gunrock_hash_color(const graph::Csr& csr,
                             const GunrockHashOptions& options) {
@@ -40,17 +31,10 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
   const std::int32_t hash_size =
       options.hash_size < 1 ? 1 : options.hash_size;
 
-  // Draws and tie ids key on original vertex ids (Options::original_id):
-  // the proposal races stay, but each logical vertex's priority is the same
+  // The proposal races stay, but each logical vertex's priority is the same
   // under every reorder strategy.
-  std::vector<std::int32_t> random(un);
-  const sim::CounterRng rng(options.seed);
-  device.launch("gunrock_hash::init_random", n, [&](std::int64_t v) {
-    random[static_cast<std::size_t>(v)] = rng.uniform_int31(
-        static_cast<std::uint64_t>(options.original_id(
-            static_cast<vid_t>(v))));
-  });
-  const auto tie_of = [&](vid_t v) { return options.original_id(v); };
+  const std::vector<std::int64_t> priority =
+      random_priorities(device, "gunrock_hash::init_priority", n, options);
 
   std::int32_t* colors = result.colors.data();
   // Per-vertex prohibited-color table: hash_size slots, kUncolored = empty.
@@ -157,13 +141,10 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
       for (const vid_t u : csr.neighbors(v)) {
         const auto uu = static_cast<std::size_t>(u);
         if (sim::atomic_load(colors[uu]) != kUncolored) continue;
-        if (priority_less(random[static_cast<std::size_t>(cand_max)],
-                          tie_of(cand_max), random[uu], tie_of(u))) {
+        if (priority[static_cast<std::size_t>(cand_max)] < priority[uu]) {
           cand_max = u;
         }
-        if (priority_less(random[uu], tie_of(u),
-                          random[static_cast<std::size_t>(cand_min)],
-                          tie_of(cand_min))) {
+        if (priority[uu] < priority[static_cast<std::size_t>(cand_min)]) {
           cand_min = u;
         }
       }
@@ -195,8 +176,7 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
         if (sim::atomic_load(colors[uu]) != cv) continue;
         const std::int32_t u_iter = sim::atomic_load(colored_iter[uu]);
         const bool u_final = u_iter != kUncolored && u_iter < iteration;
-        if (u_final ||
-            priority_less(random[uv], tie_of(v), random[uu], tie_of(u))) {
+        if (u_final || priority[uv] < priority[uu]) {
           sim::atomic_store(colors[uv], kUncolored);
           sim::atomic_store(colored_iter[uv], kUncolored);
           lost_conflict[uv] = 1;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <vector>
 
+#include "core/live.hpp"
 #include "core/verify.hpp"
 #include "gunrock/enactor.hpp"
 #include "gunrock/frontier.hpp"
@@ -10,22 +11,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/rng.hpp"
+#include "sim/bitops.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
-
-namespace {
-
-/// Priority comparison with vertex-id tie break. The paper compares raw
-/// random ints; the tie break guarantees termination on (astronomically
-/// unlikely, but possible) equal draws without changing the distribution.
-inline bool priority_less(std::int32_t ra, vid_t a, std::int32_t rb,
-                          vid_t b) noexcept {
-  return ra < rb || (ra == rb && a < b);
-}
-
-}  // namespace
 
 Coloring gunrock_is_color(const graph::Csr& csr,
                           const GunrockIsOptions& options) {
@@ -41,30 +30,13 @@ Coloring gunrock_is_color(const graph::Csr& csr,
   if (n == 0) return result;
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
 
-  // Initialize R <- generateRandomNumbers (Algorithm 5 line 7). The bitmap
-  // modes skip the materialization launch and draw the same counter-based
-  // values on the fly — the draw is a pure function of (seed, original id),
-  // so every access sees exactly the number the array would hold, and the
-  // same logical vertex draws the same number under every reorder strategy.
+  // Initialize R <- generateRandomNumbers (Algorithm 5 line 7), packed with
+  // the original id as tie break: the paper compares raw random ints, and
+  // the tie break guarantees termination on equal draws without changing
+  // the distribution.
+  const std::vector<std::int64_t> priority =
+      random_priorities(device, "gunrock_is::init_priority", n, options);
   const bool bitmap = options.frontier_mode != gr::FrontierMode::kSparse;
-  std::vector<std::int32_t> random;
-  const sim::CounterRng rng(options.seed);
-  if (!bitmap) {
-    random.resize(un);
-    device.launch("gunrock_is::init_random", n, [&](std::int64_t v) {
-      random[static_cast<std::size_t>(v)] = rng.uniform_int31(
-          static_cast<std::uint64_t>(options.original_id(
-              static_cast<vid_t>(v))));
-    });
-  }
-  const auto rand_of = [&](vid_t v) {
-    return bitmap ? rng.uniform_int31(
-                        static_cast<std::uint64_t>(options.original_id(v)))
-                  : random[static_cast<std::size_t>(v)];
-  };
-  // Ties (equal draws) break on original ids too, keeping the whole
-  // priority a function of the logical vertex.
-  const auto tie_of = [&](vid_t v) { return options.original_id(v); };
 
   std::int32_t* colors = result.colors.data();
   gr::Frontier frontier = bitmap
@@ -82,39 +54,56 @@ Coloring gunrock_is_color(const graph::Csr& csr,
     const obs::ScopedPhase phase("gunrock_is::round");
     const std::int32_t color = 2 * iteration;
     // ColorOp (Algorithm 5 lines 15-43): one thread per vertex, serial
-    // neighbor loop — deliberately NOT load balanced.
-    const auto color_op = [&](vid_t v) {
-      const auto uv = static_cast<std::size_t>(v);
-      if (colors[uv] != kUncolored) return;  // already colored
+    // neighbor loop — deliberately NOT load balanced. Returns the color v
+    // takes this round, or kUncolored. `competes(u)` says whether neighbor
+    // u was uncolored at the start of the round: neighbors that take
+    // color+1/color+2 during it still participate in the comparison
+    // (Algorithm 5 line 26).
+    const auto decide = [&](vid_t v, auto competes) {
+      const std::int64_t mine = priority[static_cast<std::size_t>(v)];
       bool colormax = true;
       bool colormin = options.min_max;
-      const std::int32_t rv = rand_of(v);
       for (const vid_t u : csr.neighbors(v)) {
-        const auto uu = static_cast<std::size_t>(u);
-        // Skip neighbors finalized in earlier iterations; neighbors that
-        // (racily) took color+1/color+2 this round still participate in the
-        // comparison (Algorithm 5 line 26).
-        const std::int32_t cu = sim::atomic_load(colors[uu]);
-        if (cu != kUncolored && cu != color + 1 && cu != color + 2) continue;
-        const std::int32_t ru = rand_of(u);
-        if (!priority_less(ru, tie_of(u), rv, tie_of(v))) colormax = false;
-        if (!priority_less(rv, tie_of(v), ru, tie_of(u))) colormin = false;
+        if (!competes(u)) continue;
+        const std::int64_t theirs = priority[static_cast<std::size_t>(u)];
+        colormax = colormax && theirs < mine;
+        colormin = colormin && theirs > mine;
         if (!colormax && !colormin) break;
       }
-      if (colormax) {
-        sim::atomic_store(colors[uv], color + 1);
-      } else if (colormin) {
-        sim::atomic_store(colors[uv], color + 2);
-      } else {
-        return;
-      }
+      return colormax ? color + 1 : colormin ? color + 2 : kUncolored;
+    };
+    const auto count_colored = [&] {
       if (options.use_atomics) {
         colored_total.fetch_add(1, std::memory_order_relaxed);
       }
     };
+    // Bitmap modes: the frontier holds exactly the vertices uncolored at
+    // the round's start, and no worker writes it during the launch (the
+    // rebuild goes to a separate buffer), so membership is the liveness
+    // test and colors[] is never read across vertices.
     const auto survive_op = [&](vid_t v) {
-      color_op(v);
-      return colors[static_cast<std::size_t>(v)] == kUncolored;
+      const std::int32_t c =
+          decide(v, [live = frontier.words().data()](vid_t u) {
+            return sim::test_bit(live, u);
+          });
+      if (c == kUncolored) return true;
+      colors[static_cast<std::size_t>(v)] = c;
+      count_colored();
+      return false;
+    };
+    // Sparse mode keeps the implicit all-vertex frontier and probes the
+    // neighbors' colors, which other workers of the same launch store.
+    const auto color_op = [&](vid_t v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (colors[uv] != kUncolored) return;  // already colored
+      const std::int32_t c = decide(v, [&](vid_t u) {
+        const std::int32_t cu =
+            sim::atomic_load(colors[static_cast<std::size_t>(u)]);
+        return cu == kUncolored || cu == color + 1 || cu == color + 2;
+      });
+      if (c == kUncolored) return;
+      sim::atomic_store(colors[uv], c);
+      count_colored();
     };
 
     // Stop when all vertices hold a valid color (Algorithm 5 line 9). The

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/live.hpp"
 #include "core/ordering.hpp"
 #include "core/palette.hpp"
 #include "core/verify.hpp"
@@ -11,7 +12,6 @@
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/atomics.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
 
@@ -27,36 +27,22 @@ const char* to_string(JpPriority priority) noexcept {
   return "unknown";
 }
 
-Coloring jones_plassmann_color(const graph::Csr& csr,
-                               const JonesPlassmannOptions& options) {
+std::vector<std::int64_t> jones_plassmann_priorities(
+    const graph::Csr& csr, const JonesPlassmannOptions& options) {
   const vid_t n = csr.num_vertices;
-  const auto un = static_cast<std::size_t>(n);
   auto& device = sim::Device::instance();
-
-  Coloring result;
-  result.algorithm =
-      std::string("jones_plassmann_") + to_string(options.priority);
-  result.colors.assign(un, kUncolored);
-  if (n == 0) return result;
-  const obs::ScopedDeviceMetrics scoped(device, result.metrics);
-
   // Priorities: a strict total order packed into int64. Higher priority
   // colors earlier; random bits break structural ties. Draws and id
   // tie-breaks key on original ids, so the coloring is invariant to the
   // registry's reorder strategies (only the traversal layout changes).
-  std::vector<std::int64_t> priority(un);
+  if (options.priority == JpPriority::kRandom) {
+    return random_priorities(device, "jp::priority_random", n, options);
+  }
+  std::vector<std::int64_t> priority(static_cast<std::size_t>(n));
   const sim::CounterRng rng(options.seed);
   switch (options.priority) {
     case JpPriority::kRandom:
-      device.launch("jp::priority_random", n, [&](std::int64_t v) {
-        const vid_t orig = options.original_id(static_cast<vid_t>(v));
-        priority[static_cast<std::size_t>(v)] =
-            (static_cast<std::int64_t>(
-                 rng.uniform_int31(static_cast<std::uint64_t>(orig)))
-             << 32) |
-            static_cast<std::int64_t>(orig);
-      });
-      break;
+      break;  // returned above
     case JpPriority::kLargestDegreeFirst:
       device.launch("jp::priority_degree", n, [&](std::int64_t v) {
         const vid_t orig = options.original_id(static_cast<vid_t>(v));
@@ -109,14 +95,31 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
       break;
     }
   }
+  return priority;
+}
 
+Coloring jones_plassmann_color(const graph::Csr& csr,
+                               const JonesPlassmannOptions& options) {
+  const vid_t n = csr.num_vertices;
+  const auto un = static_cast<std::size_t>(n);
+  auto& device = sim::Device::instance();
+
+  Coloring result;
+  result.algorithm =
+      std::string("jones_plassmann_") + to_string(options.priority);
+  result.colors.assign(un, kUncolored);
+  if (n == 0) return result;
+  const obs::ScopedDeviceMetrics scoped(device, result.metrics);
+
+  // live[v] is v's priority while v is uncolored at the start of a round,
+  // and kColoredPriority from the round after it colors. Only the filter
+  // writes it, in its own launch, so the color decisions read the PREVIOUS
+  // round's state and the result is a deterministic function of (graph,
+  // priorities) no matter how workers interleave — the bulk-synchronous JP
+  // formulation. The frontier representation (sparse list vs. bitmap)
+  // therefore never changes the colors, only the launch structure.
+  std::vector<std::int64_t> live = jones_plassmann_priorities(csr, options);
   std::int32_t* colors = result.colors.data();
-  // Per-round snapshot: decisions read the PREVIOUS round's colors only, so
-  // the result is a deterministic function of (graph, priorities) no matter
-  // how workers interleave — the bulk-synchronous JP formulation. The
-  // frontier representation (sparse list vs. bitmap) therefore never changes
-  // the colors, only the launch structure.
-  std::vector<std::int32_t> snapshot(result.colors);
   const bool bitmap = options.frontier_mode != gr::FrontierMode::kSparse;
   gr::Frontier frontier = bitmap
                               ? gr::Frontier::all_bits(n, options.frontier_mode)
@@ -125,45 +128,31 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
   std::vector<std::uint64_t> spare_words;  // bitmap double buffer
   const double avg_degree = csr.average_degree();
 
-  // A vertex colors itself with its minimum available color once no
-  // snapshot-uncolored neighbor outranks it. Two adjacent vertices can
-  // never color in the same round (one outranks the other in the shared
-  // snapshot), so writes to `colors` never race with the reads below.
-  // Neighbor snapshot probes are relaxed atomics. The publish runs in the
-  // filter launch after this one, so they never race today; a relaxed load
-  // compiles to a plain load, and it keeps a probe well-defined should the
-  // publish ever share a launch with the color decisions. Coherence would
-  // keep that proper too: once a probe sees a neighbor colored, the palette
-  // sweep's later load of the same entry sees that same final color.
+  // A frontier vertex colors itself with its minimum available color once
+  // no live neighbor outranks it. Priorities are a strict order, so no
+  // neighbor of a vertex that colors in a round colors in that same round:
+  // the palette sweep reads colors[] that only earlier launches wrote.
   const auto color_op = [&](vid_t v) {
-    const auto uv = static_cast<std::size_t>(v);
-    if (sim::atomic_load(snapshot[uv]) != kUncolored) return;
-    const std::int64_t mine = priority[uv];
+    const std::int64_t mine = live[static_cast<std::size_t>(v)];
     const auto adj = csr.neighbors(v);
     for (const vid_t u : adj) {
-      if (sim::atomic_load(snapshot[static_cast<std::size_t>(u)]) ==
-              kUncolored &&
-          priority[static_cast<std::size_t>(u)] > mine) {
-        return;
-      }
+      if (live[static_cast<std::size_t>(u)] > mine) return;
     }
     // Minimum color absent from the colored neighborhood, via the zero-
     // scratch windowed bit palette (a degree-d vertex always first-fits
     // within [0, d], so the sweep stays register-resident).
-    colors[uv] = palette::first_fit_windowed(
+    colors[static_cast<std::size_t>(v)] = palette::first_fit_windowed(
         static_cast<std::int64_t>(adj.size()), [&](std::int64_t k) {
-          return sim::atomic_load(snapshot[static_cast<std::size_t>(
-              adj[static_cast<std::size_t>(k)])]);
+          return colors[static_cast<std::size_t>(
+              adj[static_cast<std::size_t>(k)])];
         });
   };
-  // Filter with the snapshot publish fused into its flag pass: only
-  // frontier vertices can have changed color this round (everyone else's
-  // snapshot entry is already final), so publishing v while flagging it
-  // covers the whole graph.
+  // The vertices this round colored leave the frontier and the comparison.
   const auto survive_op = [&](vid_t v) {
-    const std::int32_t cv = colors[static_cast<std::size_t>(v)];
-    sim::atomic_store(snapshot[static_cast<std::size_t>(v)], cv);
-    return cv == kUncolored;
+    const auto uv = static_cast<std::size_t>(v);
+    if (colors[uv] == kUncolored) return true;
+    live[uv] = kColoredPriority;
+    return false;
   };
 
   const sim::Stopwatch watch;
@@ -183,8 +172,7 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
       spare_words = frontier.release_words();
       frontier = std::move(next);
     } else {
-      // The survivors compact into the recycled buffer — two launches per
-      // round instead of publish + flag + gather.
+      // The survivors compact into the recycled buffer (flag + scatter).
       gr::Frontier next =
           gr::filter_into(device, frontier, std::move(spare), survive_op);
       spare = frontier.release_vertices();

@@ -10,6 +10,9 @@
 // from its (already colored) neighborhood. Colors are reused aggressively,
 // giving greedy-like quality with parallel rounds.
 
+#include <cstdint>
+#include <vector>
+
 #include "core/result.hpp"
 #include "graph/csr.hpp"
 
@@ -33,6 +36,13 @@ struct JonesPlassmannOptions : Options {
   /// treated degree-first.
   double hybrid_degree_fraction = 0.1;
 };
+
+/// Every vertex's priority under `options` (one launch, or a host
+/// degeneracy sweep for kSmallestDegreeLast): a strict total order in which
+/// higher colors earlier. With first-fit colors, JP equals sequential greedy
+/// over the vertices in descending priority.
+[[nodiscard]] std::vector<std::int64_t> jones_plassmann_priorities(
+    const graph::Csr& csr, const JonesPlassmannOptions& options = {});
 
 [[nodiscard]] Coloring jones_plassmann_color(
     const graph::Csr& csr, const JonesPlassmannOptions& options = {});

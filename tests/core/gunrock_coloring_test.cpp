@@ -8,6 +8,7 @@
 #include "core/gunrock_ar.hpp"
 #include "core/gunrock_hash.hpp"
 #include "core/gunrock_is.hpp"
+#include "core/jones_plassmann.hpp"
 #include "core/verify.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graph/generators/rgg.hpp"
@@ -211,15 +212,14 @@ TEST(GunrockAr, DeterministicForSeed) {
 
 // ---- Gunrock AR serial oracle ----------------------------------------------
 
-/// Host-only reference of Algorithm 7's round rule, one vertex at a time: a
-/// vertex uncolored at the start of round r whose packed priority beats
-/// every neighbor uncolored at the start of round r takes color r, or with
-/// `fused` color 2r as a local maximum and 2r + 1 as a local minimum.
-/// Neighbors colored in round r still compete within it.
-Coloring ar_oracle(const graph::Csr& csr, const GunrockArOptions& options) {
-  const auto un = static_cast<std::size_t>(csr.num_vertices);
+/// Every vertex's random weight, keyed on its original id, in the high 32
+/// bits and the original id below: the (weight, id) order of the frontier
+/// colorers.
+std::vector<std::int64_t> oracle_priorities(const graph::Csr& csr,
+                                            const Options& options) {
   const sim::CounterRng rng(options.seed);
-  std::vector<std::int64_t> priority(un);
+  std::vector<std::int64_t> priority(
+      static_cast<std::size_t>(csr.num_vertices));
   for (vid_t v = 0; v < csr.num_vertices; ++v) {
     const vid_t orig = options.original_id(v);
     priority[static_cast<std::size_t>(v)] =
@@ -228,6 +228,17 @@ Coloring ar_oracle(const graph::Csr& csr, const GunrockArOptions& options) {
          << 32) |
         static_cast<std::int64_t>(static_cast<std::uint32_t>(orig));
   }
+  return priority;
+}
+
+/// Host-only reference of Algorithm 7's round rule, one vertex at a time: a
+/// vertex uncolored at the start of round r whose packed priority beats
+/// every neighbor uncolored at the start of round r takes color r, or with
+/// `fused` color 2r as a local maximum and 2r + 1 as a local minimum.
+/// Neighbors colored in round r still compete within it.
+Coloring ar_oracle(const graph::Csr& csr, const GunrockArOptions& options) {
+  const auto un = static_cast<std::size_t>(csr.num_vertices);
+  const std::vector<std::int64_t> priority = oracle_priorities(csr, options);
   Coloring oracle;
   oracle.colors.assign(un, kUncolored);
   while (std::count(oracle.colors.begin(), oracle.colors.end(), kUncolored) >
@@ -323,6 +334,144 @@ TEST(GunrockAr, InitLaunchDeclaresItsTraffic) {
     ASSERT_NE(init, nullptr);
     EXPECT_EQ(init->bytes_written, 8 * n);
     EXPECT_EQ(init->bytes_read, read);
+  }
+}
+
+// ---- Gunrock IS serial oracle ----------------------------------------------
+
+/// Host-only reference of Algorithm 5's round rule: a vertex uncolored at
+/// the start of round r takes color 2r + 1 when its priority beats every
+/// neighbor uncolored at the start of round r, or with `min_max` color
+/// 2r + 2 when every such neighbor beats it. Neighbors colored in round r
+/// still compete within it.
+Coloring is_oracle(const graph::Csr& csr, const GunrockIsOptions& options) {
+  const auto un = static_cast<std::size_t>(csr.num_vertices);
+  const std::vector<std::int64_t> priority = oracle_priorities(csr, options);
+  Coloring oracle;
+  oracle.colors.assign(un, kUncolored);
+  while (std::count(oracle.colors.begin(), oracle.colors.end(), kUncolored) >
+         0) {
+    const std::int32_t r = oracle.iterations++;
+    std::vector<std::int32_t> next = oracle.colors;
+    for (vid_t v = 0; v < csr.num_vertices; ++v) {
+      const auto uv = static_cast<std::size_t>(v);
+      if (oracle.colors[uv] != kUncolored) continue;
+      bool is_max = true;
+      bool is_min = true;
+      for (const vid_t u : csr.neighbors(v)) {
+        const auto uu = static_cast<std::size_t>(u);
+        if (oracle.colors[uu] != kUncolored) continue;
+        is_max = is_max && priority[uu] < priority[uv];
+        is_min = is_min && priority[uu] > priority[uv];
+      }
+      if (is_max) {
+        next[uv] = 2 * r + 1;
+      } else if (options.min_max && is_min) {
+        next[uv] = 2 * r + 2;
+      }
+    }
+    oracle.colors = std::move(next);
+  }
+  return oracle;
+}
+
+/// The three Table II rows: min-max, single-set, and single-set with the
+/// atomic colored counter.
+std::vector<GunrockIsOptions> is_variants() {
+  GunrockIsOptions minmax;
+  GunrockIsOptions single;
+  single.min_max = false;
+  GunrockIsOptions atomics = single;
+  atomics.use_atomics = true;
+  return {minmax, single, atomics};
+}
+
+TEST(GunrockIs, MatchesSerialOracleInEveryMode) {
+  for (GunrockIsOptions options : is_variants()) {
+    for (const auto mode :
+         {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
+          gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+      options.frontier_mode = mode;
+      for (const auto& csr : oracle_graphs()) {
+        const Coloring oracle = is_oracle(csr, options);
+        const Coloring result = gunrock_is_color(csr, options);
+        EXPECT_EQ(result.colors, oracle.colors)
+            << "n=" << csr.num_vertices << " min_max=" << options.min_max
+            << " atomics=" << options.use_atomics
+            << " mode=" << gr::to_string(mode);
+        EXPECT_EQ(result.iterations, oracle.iterations)
+            << "n=" << csr.num_vertices << " min_max=" << options.min_max
+            << " atomics=" << options.use_atomics
+            << " mode=" << gr::to_string(mode);
+      }
+    }
+  }
+}
+
+TEST(GunrockIs, MatchesSerialOracleUnderRelabeledIds) {
+  // Priorities key on original ids: a reversed id map must draw them from
+  // the caller's numbering, exactly as the oracle does.
+  const auto csr = graph::build_csr(graph::generate_rmat(10));
+  std::vector<vid_t> reversed(static_cast<std::size_t>(csr.num_vertices));
+  std::iota(reversed.rbegin(), reversed.rend(), vid_t{0});
+  for (GunrockIsOptions options : is_variants()) {
+    options.original_ids = reversed;
+    const Coloring oracle = is_oracle(csr, options);
+    const Coloring result = gunrock_is_color(csr, options);
+    EXPECT_EQ(result.colors, oracle.colors) << "min_max=" << options.min_max;
+    EXPECT_EQ(result.iterations, oracle.iterations)
+        << "min_max=" << options.min_max;
+  }
+}
+
+// ---- Jones-Plassmann equals greedy in priority order -----------------------
+
+/// Sequential first-fit greedy over the vertices in descending priority.
+std::vector<std::int32_t> greedy_in_priority_order(
+    const graph::Csr& csr, const std::vector<std::int64_t>& priority) {
+  std::vector<vid_t> order(static_cast<std::size_t>(csr.num_vertices));
+  std::iota(order.begin(), order.end(), vid_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](vid_t a, vid_t b) {
+    return priority[static_cast<std::size_t>(a)] >
+           priority[static_cast<std::size_t>(b)];
+  });
+  std::vector<std::int32_t> colors(order.size(), kUncolored);
+  for (const vid_t v : order) {
+    const auto adj = csr.neighbors(v);
+    std::vector<bool> used(adj.size() + 1, false);
+    for (const vid_t u : adj) {
+      const std::int32_t c = colors[static_cast<std::size_t>(u)];
+      if (c >= 0 && static_cast<std::size_t>(c) < used.size()) {
+        used[static_cast<std::size_t>(c)] = true;
+      }
+    }
+    colors[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(
+        std::find(used.begin(), used.end(), false) - used.begin());
+  }
+  return colors;
+}
+
+TEST(JonesPlassmann, EqualsGreedyInPriorityOrder) {
+  // JP with first-fit gives each vertex the smallest color absent from its
+  // higher-priority neighbors, all of which colored in earlier rounds.
+  for (const auto priority :
+       {JpPriority::kRandom, JpPriority::kLargestDegreeFirst,
+        JpPriority::kSmallestDegreeLast,
+        JpPriority::kHybridDegreeThenRandom}) {
+    for (const auto mode :
+         {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
+          gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+      JonesPlassmannOptions options;
+      options.priority = priority;
+      options.frontier_mode = mode;
+      for (const auto& csr : oracle_graphs()) {
+        EXPECT_EQ(jones_plassmann_color(csr, options).colors,
+                  greedy_in_priority_order(
+                      csr, jones_plassmann_priorities(csr, options)))
+            << "n=" << csr.num_vertices << " priority=" << to_string(priority)
+            << " mode=" << gr::to_string(mode);
+      }
+    }
   }
 }
 
