@@ -118,63 +118,36 @@ void BM_CompactValues(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactValues)->Range(1 << 10, 1 << 20);
 
-// Advance schedule ablation (paper Table II axis): vertex-chunked dynamic
-// scheduling vs the edge-balanced merge-path fill, on a near-uniform RGG
-// (balanced degrees — little for edge-balancing to fix) and a skewed R-MAT
-// (power-law degrees — the case vertex granularity starves on).
-template <gr::AdvancePolicy policy>
+// Edge-balanced advance (merge-path fill) on a near-uniform RGG (balanced
+// degrees) and a skewed R-MAT (power-law degrees, where a degree-oblivious
+// schedule would starve on hubs).
 void BM_AdvanceRgg(benchmark::State& state) {
   auto& device = sim::Device::instance();
   const auto csr = graph::build_csr(graph::generate_rgg(
       static_cast<int>(state.range(0)), {.seed = 1}));
   const gr::Frontier frontier = gr::Frontier::all(csr.num_vertices);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gr::advance(device, csr, frontier, policy));
+    benchmark::DoNotOptimize(gr::advance(device, csr, frontier));
   }
   state.SetItemsProcessed(state.iterations() * csr.num_edges());
 }
-BENCHMARK(BM_AdvanceRgg<gr::AdvancePolicy::kVertexChunked>)
-    ->DenseRange(12, 16, 2);
-BENCHMARK(BM_AdvanceRgg<gr::AdvancePolicy::kEdgeBalanced>)
-    ->DenseRange(12, 16, 2);
+BENCHMARK(BM_AdvanceRgg)->DenseRange(12, 16, 2);
 
-template <gr::AdvancePolicy policy>
 void BM_AdvanceRmat(benchmark::State& state) {
   auto& device = sim::Device::instance();
   const auto csr = graph::build_csr(graph::generate_rmat(
       static_cast<int>(state.range(0)), 16, {.seed = 17}));
   const gr::Frontier frontier = gr::Frontier::all(csr.num_vertices);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gr::advance(device, csr, frontier, policy));
+    benchmark::DoNotOptimize(gr::advance(device, csr, frontier));
   }
   state.SetItemsProcessed(state.iterations() * csr.num_edges());
 }
-BENCHMARK(BM_AdvanceRmat<gr::AdvancePolicy::kVertexChunked>)
-    ->DenseRange(12, 16, 2);
-BENCHMARK(BM_AdvanceRmat<gr::AdvancePolicy::kEdgeBalanced>)
-    ->DenseRange(12, 16, 2);
+BENCHMARK(BM_AdvanceRmat)->DenseRange(12, 16, 2);
 
-// Frontier-rebuild representations (DESIGN.md §3d): the per-round frontier
-// compaction every frontier-driven algorithm pays. The sparse list goes
-// through the fused flag+count/scatter compaction (two launches, a scan and
-// a gather); the bitmap rebuild is ONE word-owner launch writing 64
-// membership decisions per word with no scatter at all.
-void BM_FrontierCompactList(benchmark::State& state) {
-  auto& device = sim::Device::instance();
-  const auto n = static_cast<vid_t>(state.range(0));
-  const gr::Frontier frontier = gr::Frontier::all(n);
-  std::vector<vid_t> spare;
-  for (auto _ : state) {
-    gr::Frontier next = gr::filter_into(
-        device, frontier, std::move(spare),
-        [](vid_t v) { return (v & 1) == 0; });
-    benchmark::DoNotOptimize(next.size());
-    spare = next.release_vertices();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FrontierCompactList)->Range(1 << 12, 1 << 20);
-
+// Frontier rebuild (DESIGN.md §3d): the per-round compaction every
+// frontier-driven algorithm pays is ONE word-owner launch writing 64
+// membership decisions per word with no scan and no scatter.
 void BM_FrontierBitmapUpdate(benchmark::State& state) {
   auto& device = sim::Device::instance();
   const auto n = static_cast<vid_t>(state.range(0));

@@ -120,22 +120,18 @@ int main(int argc, char** argv) {
   }
   palette_table.print();
 
-  // Frontier-representation ablation (DESIGN.md §3d): the four
-  // frontier-driven algorithms under the sparse compact-list engine (the
-  // pre-bitmap behavior, what BENCH_baseline.json records) vs the
-  // direction-optimized bitmap engine under kAuto (the default, what
-  // BENCH_after.json records). The bitmap rows should win on launches —
-  // the rebuild is one word-owner kernel instead of a flag/scan/scatter
-  // chain — with byte-identical colors at 1 worker.
-  std::printf("\n== Frontier ablation: sparse list vs direction-optimized "
-              "bitmap ==\n\n");
+  // Frontier-direction ablation (DESIGN.md §3d): the four frontier-driven
+  // algorithms on the bitmap engine under forced push, forced pull and the
+  // per-launch occupancy switch (kAuto, the default). Colors are
+  // byte-identical across the three at 1 worker; only the traversal and
+  // its time change.
+  std::printf("\n== Frontier ablation: bitmap push vs pull vs auto ==\n\n");
   const char* frontier_algos[] = {"jp_random", "gunrock_is", "gunrock_hash",
                                   "gunrock_ar"};
   const struct {
     const char* label;
     gr::FrontierMode mode;
   } frontier_modes[] = {
-      {"sparse", gr::FrontierMode::kSparse},
       {"bitmap-push", gr::FrontierMode::kBitmapPush},
       {"bitmap-pull", gr::FrontierMode::kBitmapPull},
       {"auto", gr::FrontierMode::kAuto},

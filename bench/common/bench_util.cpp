@@ -42,7 +42,7 @@ namespace {
       "  --algorithms=A,B  run the named registry algorithms (default: the "
       "paper's nine Figure-1 series)\n"
       "  --frontier=M frontier policy for the frontier-driven algorithms: "
-      "sparse | bitmap-push | bitmap-pull | auto (default auto)\n"
+      "bitmap-push | bitmap-pull | auto (default auto)\n"
       "  --reorder=S  cache-aware CSR relabeling applied (and un-permuted) "
       "inside every measured run: identity | degree_sort | dbg | bfs "
       "(default identity)\n"
@@ -89,11 +89,11 @@ obs::Json run_meta(gr::FrontierMode frontier_mode, unsigned streams,
 #else
   meta.set("build_type", "unknown");
 #endif
-  // The substrate's default advance policy (gr::AdvancePolicy); recorded so
-  // scheduling changes across PRs are visible in the trajectory.
+  // The substrate's advance schedule (edge-balanced merge-path, the only
+  // one); the key stays so the v8 schema and older reports keep their shape.
   meta.set("advance_policy", "edge_balanced");
-  // The frontier representation/direction policy of the measured runs —
-  // BENCH_baseline.json (sparse) vs BENCH_after.json (auto) differ exactly
+  // The frontier policy of the measured runs — BENCH_baseline.json (the
+  // retired sparse-list engine) vs BENCH_after.json (auto) differ exactly
   // here, and bench_diff keys its per-direction breakdown off it.
   meta.set("frontier_mode", gr::to_string(frontier_mode));
   // v3: how many device streams the measured runs were scheduled onto.

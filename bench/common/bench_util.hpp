@@ -35,8 +35,8 @@ struct Args {
   std::string trace_path; ///< --trace: write a Chrome trace-event JSON here
   std::string datasets;   ///< --datasets: comma-separated name filter
   std::string algorithms; ///< --algorithms: comma-separated registry names
-  /// --frontier: frontier representation / direction policy handed to every
-  /// measured run (sparse | bitmap-push | bitmap-pull | auto).
+  /// --frontier: frontier direction policy handed to every measured run
+  /// (bitmap-push | bitmap-pull | auto).
   gr::FrontierMode frontier_mode = gr::FrontierMode::kAuto;
   /// --reorder: cache-aware CSR relabeling strategy applied inside every
   /// measured run (identity | degree_sort | dbg | bfs). The registry

@@ -50,17 +50,13 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
       random_priorities(device, "gunrock_ar::init_live", n, options);
 
   std::int32_t* colors = result.colors.data();
-  // Bitmap modes route the segment reduction through neighbor_reduce_bits,
-  // whose finalize is keyed by vertex id instead of frontier slot — the
-  // coloring decision only ever touches per-vertex state, so push, pull and
-  // the sparse merge path all finalize each frontier member exactly once
-  // with the identical full-neighborhood extreme.
-  const bool bitmap = options.frontier_mode != gr::FrontierMode::kSparse;
-  gr::Frontier frontier = bitmap
-                              ? gr::Frontier::all_bits(n, options.frontier_mode)
-                              : gr::Frontier::all(n);
-  std::vector<vid_t> spare;  // sparse-list double buffer
-  std::vector<std::uint64_t> spare_words;  // bitmap double buffer
+  // The segment reduction runs through neighbor_reduce_bits, whose finalize
+  // is keyed by vertex id — the coloring decision only ever touches
+  // per-vertex state, so push, pull and the edge-balanced push all finalize
+  // each frontier member exactly once with the identical full-neighborhood
+  // extreme.
+  gr::Frontier frontier = gr::Frontier::all_bits(n, options.frontier_mode);
+  std::vector<std::uint64_t> spare_words;  // double buffer
 
   // Frontier rebuild predicate: still-uncolored vertices survive; the ones
   // this round colored leave the comparison from the next round on.
@@ -112,45 +108,21 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
 
     result.metrics.push("frontier", frontier.size());
     if (options.fused_minmax) {
-      if (bitmap) {
-        gr::neighbor_reduce_bits<MinMaxPair>(device, csr, frontier, mm_map,
-                                             mm_reduce, mm_identity,
-                                             mm_finalize);
-      } else {
-        gr::neighbor_reduce_fused<MinMaxPair>(
-            device, csr, frontier, mm_map, mm_reduce, mm_identity,
-            [&](std::int64_t i, MinMaxPair extreme) {
-              mm_finalize(frontier.vertex(i), extreme);
-            });
-      }
+      gr::neighbor_reduce_bits<MinMaxPair>(device, csr, frontier, mm_map,
+                                           mm_reduce, mm_identity,
+                                           mm_finalize);
     } else {
-      if (bitmap) {
-        gr::neighbor_reduce_bits<std::int64_t>(device, csr, frontier, max_map,
-                                               max_reduce, kColoredPriority,
-                                               max_finalize);
-      } else {
-        gr::neighbor_reduce_fused<std::int64_t>(
-            device, csr, frontier, max_map, max_reduce, kColoredPriority,
-            [&](std::int64_t i, std::int64_t neighbor_max) {
-              max_finalize(frontier.vertex(i), neighbor_max);
-            });
-      }
+      gr::neighbor_reduce_bits<std::int64_t>(device, csr, frontier, max_map,
+                                             max_reduce, kColoredPriority,
+                                             max_finalize);
     }
 
     // Rebuild the frontier from still-uncolored vertices into the recycled
-    // buffer; Removed grows, and the compaction pays no gather launch (and
-    // collapses to one word-owner pass in bitmap modes).
-    if (bitmap) {
-      gr::Frontier next = gr::filter_bits(device, frontier,
-                                          std::move(spare_words), survive_op);
-      spare_words = frontier.release_words();
-      frontier = std::move(next);
-    } else {
-      gr::Frontier next =
-          gr::filter_into(device, frontier, std::move(spare), survive_op);
-      spare = frontier.release_vertices();
-      frontier = std::move(next);
-    }
+    // buffer in one word-owner pass; Removed grows.
+    gr::Frontier next = gr::filter_bits(device, frontier,
+                                        std::move(spare_words), survive_op);
+    spare_words = frontier.release_words();
+    frontier = std::move(next);
     result.metrics.push("colored", n - frontier.size());
     result.metrics.push("colors_opened",
                         options.fused_minmax ? 2 * (iteration + 1)

@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/reduce.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::color {
@@ -49,18 +48,14 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
   std::vector<std::uint8_t> lost_conflict(un, 0);
 
   std::atomic<std::int64_t> conflicts{0};
-  std::int64_t prev_colored = 0;
   std::int64_t prev_conflicts = 0;
-  // Bitmap modes keep the round-start uncolored set as a bitmap frontier.
-  // Every operator below already early-outs on vertices outside that set
-  // (colored, or not tentative this round), so iterating only the members
-  // is behavior-identical to the implicit-all sweep — tentative colors and
+  // The frontier is the round-start uncolored set. Every operator below
+  // already early-outs on vertices outside that set (colored, or not
+  // tentative this round), so iterating only the members is
+  // behavior-identical to an all-vertex sweep — tentative colors and
   // conflict losers all live inside the round-start uncolored set.
-  const bool bitmap = options.frontier_mode != gr::FrontierMode::kSparse;
-  gr::Frontier frontier = bitmap
-                              ? gr::Frontier::all_bits(n, options.frontier_mode)
-                              : gr::Frontier::all(n);
-  std::vector<std::uint64_t> spare_words;  // bitmap double buffer
+  gr::Frontier frontier = gr::Frontier::all_bits(n, options.frontier_mode);
+  std::vector<std::uint64_t> spare_words;  // double buffer
   const double avg_degree = csr.average_degree();
 
   // Checks the per-vertex table; colors not found may still conflict — the
@@ -186,33 +181,24 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
       }
     };
 
+    const std::int64_t active = frontier.size();
     gr::compute(device, frontier, propose_op, avg_degree);
     gr::compute(device, frontier, conflict_op, avg_degree);
 
-    // Bitmap modes fuse hash generation, the frontier rebuild AND the
-    // stop-check count into one word-owner filter_bits launch (survivor =
-    // still uncolored); the sparse path pays a compute plus a count_if.
-    std::int64_t colored;
-    if (bitmap) {
-      gr::Frontier next = gr::filter_bits(device, frontier,
-                                          std::move(spare_words), survive_op,
-                                          avg_degree);
-      spare_words = frontier.release_words();
-      frontier = std::move(next);
-      colored = n - frontier.size();
-    } else {
-      gr::compute(device, frontier, hashgen_op, avg_degree);
-      colored = sim::count_if<std::int32_t>(
-          device, result.colors,
-          [](std::int32_t c) { return c != kUncolored; });
-    }
+    // Hash generation, the frontier rebuild AND the stop-check count fuse
+    // into one word-owner filter_bits launch (survivor = still uncolored).
+    gr::Frontier next = gr::filter_bits(device, frontier,
+                                        std::move(spare_words), survive_op,
+                                        avg_degree);
+    spare_words = frontier.release_words();
+    frontier = std::move(next);
+    const std::int64_t colored = n - frontier.size();
     const std::int64_t conflicts_now =
         conflicts.load(std::memory_order_relaxed);
-    result.metrics.push("frontier", n - prev_colored);
+    result.metrics.push("frontier", active);
     result.metrics.push("colored", colored);
     result.metrics.push("colors_opened", 2 * (iteration + 1));
     result.metrics.push("conflicts", conflicts_now - prev_conflicts);
-    prev_colored = colored;
     prev_conflicts = conflicts_now;
     return colored < n;
   });

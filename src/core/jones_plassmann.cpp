@@ -116,27 +116,29 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
   // writes it, in its own launch, so the color decisions read the PREVIOUS
   // round's state and the result is a deterministic function of (graph,
   // priorities) no matter how workers interleave — the bulk-synchronous JP
-  // formulation. The frontier representation (sparse list vs. bitmap)
-  // therefore never changes the colors, only the launch structure.
+  // formulation. The traversal direction therefore never changes the
+  // colors, only the launch structure.
   std::vector<std::int64_t> live = jones_plassmann_priorities(csr, options);
   std::int32_t* colors = result.colors.data();
-  const bool bitmap = options.frontier_mode != gr::FrontierMode::kSparse;
-  gr::Frontier frontier = bitmap
-                              ? gr::Frontier::all_bits(n, options.frontier_mode)
-                              : gr::Frontier::all(n);
-  std::vector<vid_t> spare;                // sparse-list double buffer
-  std::vector<std::uint64_t> spare_words;  // bitmap double buffer
+  gr::Frontier frontier = gr::Frontier::all_bits(n, options.frontier_mode);
+  std::vector<std::uint64_t> spare_words;  // double buffer
   const double avg_degree = csr.average_degree();
 
   // A frontier vertex colors itself with its minimum available color once
-  // no live neighbor outranks it. Priorities are a strict order, so no
-  // neighbor of a vertex that colors in a round colors in that same round:
-  // the palette sweep reads colors[] that only earlier launches wrote.
+  // no live neighbor outranks it. The degree-keyed priorities carry no (or,
+  // for the hybrid, a truncated) id, so equal values fall back to the
+  // original ids: the order is strict, no neighbor of a vertex that colors
+  // in a round colors in that same round, and the palette sweep reads
+  // colors[] that only earlier launches wrote.
   const auto color_op = [&](vid_t v) {
     const std::int64_t mine = live[static_cast<std::size_t>(v)];
     const auto adj = csr.neighbors(v);
     for (const vid_t u : adj) {
-      if (live[static_cast<std::size_t>(u)] > mine) return;
+      const std::int64_t theirs = live[static_cast<std::size_t>(u)];
+      if (theirs > mine) return;
+      if (theirs == mine && options.original_id(u) > options.original_id(v)) {
+        return;
+      }
     }
     // Minimum color absent from the colored neighborhood, via the zero-
     // scratch windowed bit palette (a degree-d vertex always first-fits
@@ -162,22 +164,12 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
     const obs::ScopedPhase phase("jp::round");
     result.metrics.push("frontier", frontier.size());
     gr::compute(device, frontier, color_op, avg_degree);
-
-    if (bitmap) {
-      // Word-wise frontier rebuild: the compaction the sparse path pays
-      // two launches for (flag+count, scatter) is one word-owner pass.
-      gr::Frontier next = gr::filter_bits(device, frontier,
-                                          std::move(spare_words), survive_op,
-                                          avg_degree);
-      spare_words = frontier.release_words();
-      frontier = std::move(next);
-    } else {
-      // The survivors compact into the recycled buffer (flag + scatter).
-      gr::Frontier next =
-          gr::filter_into(device, frontier, std::move(spare), survive_op);
-      spare = frontier.release_vertices();
-      frontier = std::move(next);
-    }
+    // Word-wise frontier rebuild into the recycled buffer.
+    gr::Frontier next = gr::filter_bits(device, frontier,
+                                        std::move(spare_words), survive_op,
+                                        avg_degree);
+    spare_words = frontier.release_words();
+    frontier = std::move(next);
     result.metrics.push("colored", n - frontier.size());
     return !frontier.is_empty();
   });

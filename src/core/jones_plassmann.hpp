@@ -20,7 +20,7 @@ namespace gcol::color {
 
 enum class JpPriority {
   kRandom,              ///< Luby-style random priorities
-  kLargestDegreeFirst,  ///< degree, tie-broken by random (future-work exp.)
+  kLargestDegreeFirst,  ///< degree, then random, then id (future-work exp.)
   kSmallestDegreeLast,  ///< inverse-degeneracy weight, tie-broken by random
   /// Che et al. [IPDPSW 2015] hybrid: "a largest degree-first strategy for
   /// early iterations, followed by a randomized strategy" — encoded as a
@@ -38,9 +38,10 @@ struct JonesPlassmannOptions : Options {
 };
 
 /// Every vertex's priority under `options` (one launch, or a host
-/// degeneracy sweep for kSmallestDegreeLast): a strict total order in which
-/// higher colors earlier. With first-fit colors, JP equals sequential greedy
-/// over the vertices in descending priority.
+/// degeneracy sweep for kSmallestDegreeLast): higher colors earlier. The
+/// degree-keyed modes can give two vertices equal values; JP breaks those
+/// ties on original id, higher first. With first-fit colors, JP equals
+/// sequential greedy over the vertices in descending (priority, id) order.
 [[nodiscard]] std::vector<std::int64_t> jones_plassmann_priorities(
     const graph::Csr& csr, const JonesPlassmannOptions& options = {});
 

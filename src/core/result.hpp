@@ -50,11 +50,10 @@ struct Options {
   /// Safety cap on outer iterations (far above any practical bound; the
   /// randomized heuristics all have expected O(log n) rounds).
   std::int32_t max_iterations = 1 << 20;
-  /// Frontier representation / traversal direction for the frontier-driven
+  /// Bitmap frontier traversal direction for the frontier-driven
   /// algorithms (jones_plassmann, gunrock_is, gunrock_hash, gunrock_ar):
-  /// sparse compacted lists (the PR 4 baseline), bitmap with forced
-  /// push/pull, or bitmap with the per-launch occupancy-adaptive choice
-  /// (the default). Algorithms without frontier loops ignore it.
+  /// forced push/pull, or the per-launch occupancy-adaptive choice (the
+  /// default). Algorithms without frontier loops ignore it.
   gr::FrontierMode frontier_mode = gr::FrontierMode::kAuto;
   /// Vertex numbering the registry runs the algorithm under (see
   /// graph/reorder.hpp). Non-identity strategies relabel the CSR on the way

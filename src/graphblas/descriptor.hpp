@@ -20,11 +20,6 @@ struct Descriptor {
   /// Clear the output's previous entries before writing (GrB_REPLACE).
   bool replace = false;
   VxmMode vxm_mode = VxmMode::kAuto;
-  /// Allow push vxm to use the edge-balanced (merge-path) traversal when the
-  /// frontier's edge work is large enough to amortize its degree scan.
-  /// Disabled, push always walks one row per frontier entry — the
-  /// degree-oblivious schedule the paper's load-balancing analysis calls out.
-  bool push_edge_balanced = true;
 };
 
 inline constexpr Descriptor kDefaultDesc{};

@@ -513,7 +513,7 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
   // amortize the scan's extra launches; small frontiers keep the
   // single-launch row walk.
   const bool balanced =
-      desc.push_edge_balanced && u.is_sparse() &&
+      u.is_sparse() &&
       static_cast<std::int64_t>(u.nvals()) >= kPushEdgeBalanceMinEntries;
   if (balanced) {
     const auto indices = u.sparse_indices();

@@ -3,19 +3,19 @@
 // abstraction (paper §III-B): "operations on vertex or edge frontiers".
 //
 // Three representations:
-//   - the implicit full vertex set (the common case for the coloring
-//     algorithms, which keep all vertices active and early-out on colored
-//     ones — Algorithm 5 line 18);
-//   - an explicit compacted vertex list produced by filter/advance;
+//   - the implicit full vertex set;
+//   - an explicit compacted vertex list produced by filter (the speculative
+//     and distance-2 colorers' conflict lists);
 //   - a dense *bitmap*, one bit per vertex in 64-bit words (Gunrock's
-//     direction-optimized frontiers; GraphBLAST's dense masks). Rebuilding a
-//     bitmap frontier is a word-wise pass — no scan, no scatter — and
-//     membership is one bit test, which is what makes pull traversal cheap.
+//     direction-optimized frontiers; GraphBLAST's dense masks). The four
+//     frontier colorers run on it: rebuilding a bitmap frontier is a
+//     word-wise pass — no scan, no scatter — and membership is one bit
+//     test, which is what makes pull traversal cheap.
 //
-// FrontierMode is the representation/direction policy knob carried by the
-// frontier itself: operators consult it to decide how to traverse (push =
-// iterate set bits, pull = test membership over all vertices, auto = pick
-// per launch from frontier occupancy) and which representation to rebuild.
+// FrontierMode is the direction policy a bitmap frontier carries: operators
+// consult it to decide how to traverse (push = iterate set bits, pull =
+// test membership over all vertices, auto = pick per launch from frontier
+// occupancy).
 
 #include <cassert>
 #include <cstdint>
@@ -28,9 +28,8 @@
 
 namespace gcol::gr {
 
-/// Frontier representation / traversal policy (the Table-II ablation knob).
+/// Bitmap traversal policy (the Table-II direction ablation knob).
 enum class FrontierMode {
-  kSparse,      ///< compacted vertex lists, PR 4 behavior (the baseline)
   kBitmapPush,  ///< bitmap, always iterate set bits (word-skipping)
   kBitmapPull,  ///< bitmap, always full-pass membership tests
   kAuto,        ///< bitmap, per-launch occupancy-adaptive push/pull
@@ -38,7 +37,6 @@ enum class FrontierMode {
 
 [[nodiscard]] constexpr const char* to_string(FrontierMode mode) noexcept {
   switch (mode) {
-    case FrontierMode::kSparse: return "sparse";
     case FrontierMode::kBitmapPush: return "bitmap-push";
     case FrontierMode::kBitmapPull: return "bitmap-pull";
     case FrontierMode::kAuto: return "auto";
@@ -48,8 +46,7 @@ enum class FrontierMode {
 
 /// Parses the spelling to_string produces; returns false on no match.
 inline bool parse_frontier_mode(std::string_view text, FrontierMode& mode) {
-  if (text == "sparse") mode = FrontierMode::kSparse;
-  else if (text == "bitmap-push") mode = FrontierMode::kBitmapPush;
+  if (text == "bitmap-push") mode = FrontierMode::kBitmapPush;
   else if (text == "bitmap-pull") mode = FrontierMode::kBitmapPull;
   else if (text == "auto") mode = FrontierMode::kAuto;
   else return false;
@@ -82,11 +79,9 @@ class Frontier {
   }
 
   /// A full bitmap frontier (every bit set, tail bits of the last word
-  /// zero). `mode` records the traversal policy for downstream operators
-  /// and must be one of the bitmap modes.
+  /// zero). `mode` records the traversal policy for downstream operators.
   [[nodiscard]] static Frontier all_bits(vid_t num_vertices,
                                          FrontierMode mode) {
-    assert(mode != FrontierMode::kSparse);
     std::vector<std::uint64_t> words(sim::words_for_bits(num_vertices),
                                      sim::kFullWord);
     const std::int64_t tail =
@@ -103,7 +98,6 @@ class Frontier {
   [[nodiscard]] static Frontier bits(std::vector<std::uint64_t> words,
                                      std::int64_t count, vid_t num_vertices,
                                      FrontierMode mode) {
-    assert(mode != FrontierMode::kSparse);
     assert(words.size() == sim::words_for_bits(num_vertices));
     Frontier f;
     f.num_vertices_ = num_vertices;
@@ -124,7 +118,7 @@ class Frontier {
     return kind_ == Kind::kBitmap;
   }
 
-  /// Traversal policy knob. kSparse for implicit/list frontiers.
+  /// Traversal policy knob; meaningful for bitmap frontiers only.
   [[nodiscard]] FrontierMode mode() const noexcept { return mode_; }
 
   [[nodiscard]] std::int64_t size() const noexcept {
@@ -160,19 +154,9 @@ class Frontier {
     return words_;
   }
 
-  /// Steals the vertex buffer, leaving the frontier empty — the double-
+  /// Steals the word buffer, leaving the frontier empty — the double-
   /// buffering handshake: a filter loop recycles the outgoing frontier's
-  /// allocation as the next compaction's output buffer. Implicit-all
-  /// frontiers own no buffer and yield an empty vector.
-  [[nodiscard]] std::vector<vid_t> release_vertices() noexcept {
-    kind_ = Kind::kList;
-    std::vector<vid_t> buffer = std::move(vertices_);
-    vertices_.clear();
-    return buffer;
-  }
-
-  /// Bitmap counterpart of release_vertices(): steals the word buffer for
-  /// reuse as the next rebuild's output. Word contents are unspecified
+  /// allocation as the next rebuild's output. Word contents are unspecified
   /// afterwards — rebuilds overwrite every word.
   [[nodiscard]] std::vector<std::uint64_t> release_words() noexcept {
     std::vector<std::uint64_t> buffer = std::move(words_);
@@ -218,7 +202,7 @@ class Frontier {
   Frontier() = default;
   vid_t num_vertices_ = 0;
   Kind kind_ = Kind::kList;
-  FrontierMode mode_ = FrontierMode::kSparse;
+  FrontierMode mode_ = FrontierMode::kAuto;
   std::vector<vid_t> vertices_;
   std::vector<std::uint64_t> words_;
   std::int64_t count_ = 0;

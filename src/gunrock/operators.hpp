@@ -7,14 +7,13 @@
 //                    balanced: one work item per vertex regardless of degree,
 //                    exactly the property the paper analyzes ("simply
 //                    assigning each active thread to a vertex").
-//   filter         — compacts a frontier by predicate (scan + scatter).
+//   filter         — compacts a frontier by predicate (bitmaps word-wise,
+//                    lists by flag+count and scatter).
 //   advance        — generates the neighbor frontier of the input frontier
 //                    with load balancing: degrees are scanned so neighbor
-//                    slots are evenly divided among workers. Two schedules:
-//                    edge-balanced (merge-path over the scanned offsets, the
-//                    default — Gunrock's TWC/merge-path analogue) and
-//                    vertex-chunked (dynamic chunks of sources, kept
-//                    selectable for the Table II schedule ablation).
+//                    slots are evenly divided among workers by a
+//                    merge-path walk over the scanned offsets (Gunrock's
+//                    TWC/merge-path analogue).
 //   neighbor_reduce— AdvanceOp + segmented ReduceOp: per-source reduction
 //                    over the advanced neighborhood (paper §III-B3).
 //
@@ -78,12 +77,6 @@ inline constexpr std::int64_t kWordBytes =
 /// Slot-local tallies (popcounts, survivor counts) are int64 scratch cells.
 inline constexpr std::int64_t kSlotCountBytes =
     static_cast<std::int64_t>(sizeof(std::int64_t));
-
-/// How advance (and neighbor_reduce) spread neighbor work over workers.
-enum class AdvancePolicy {
-  kEdgeBalanced,   ///< merge-path over scanned degrees: equal edges per worker
-  kVertexChunked,  ///< dynamic chunks of source vertices (degree-oblivious)
-};
 
 /// Traversal direction chosen for one bitmap-frontier launch.
 enum class Direction {
@@ -168,95 +161,14 @@ void compute(sim::Device& device, const Frontier& frontier, Op op,
       sim::Schedule::kStatic, 0, "pull", sim::Traffic{kWordBytes, 0});
 }
 
-/// ComputeOp fused with the enactor's "are we done" reduction: runs op over
-/// every frontier vertex and returns how many vertices satisfy `count`
-/// AFTER their op ran — one launch instead of compute + count_if. Exact
-/// when the counted state of vertex v is written only by v's own work item
-/// (the owner-writes discipline all the IS/Hash kernels follow): the
-/// per-slot tallies then combine serially like any reduce.
-template <typename Op, typename Count>
-[[nodiscard]] std::int64_t compute_count(sim::Device& device,
-                                         const Frontier& frontier, Op op,
-                                         Count count, double avg_degree = 0.0) {
-  const std::int64_t n = frontier.size();
-  if (n == 0) return 0;
-  const unsigned workers = device.num_workers();
-  const std::span<std::int64_t> partials =
-      device.scratch().get<std::int64_t>(sim::ScratchLane::kPartials,
-                                         workers);
-  if (frontier.is_bitmap()) {
-    // Word-owner slot kernel: each slot tallies its own contiguous word
-    // range, so the count needs no atomics either way. Push skips zero
-    // words; pull probes every bit linearly.
-    const Direction dir = resolve_direction(frontier, avg_degree);
-    const std::span<const std::uint64_t> words = frontier.words();
-    const auto num_words = static_cast<std::int64_t>(words.size());
-    device.launch_slots(
-        "gr::compute_count",
-        [&](unsigned slot, unsigned num_slots) {
-          const auto [begin, end] =
-              sim::slot_range(slot, num_slots, num_words);
-          std::int64_t local = 0;
-          const auto apply = [&](std::int64_t bit) {
-            const auto v = static_cast<vid_t>(bit);
-            op(v);
-            if (count(v)) ++local;
-          };
-          if (dir == Direction::kPush) {
-            sim::visit_set_bits_span(
-                words.subspan(static_cast<std::size_t>(begin),
-                              static_cast<std::size_t>(end - begin)),
-                begin * sim::kBitsPerWord, apply);
-          } else {
-            for (std::int64_t w = begin; w < end; ++w) {
-              const std::uint64_t word = words[static_cast<std::size_t>(w)];
-              const std::int64_t base = w * sim::kBitsPerWord;
-              for (std::int64_t b = 0; b < sim::kBitsPerWord; ++b) {
-                if ((word >> b) & 1u) apply(base + b);
-              }
-            }
-          }
-          partials[slot] = local;
-        },
-        to_cstr(dir), [num_words](unsigned slot, unsigned num_slots) {
-          const auto [begin, end] =
-              sim::slot_range(slot, num_slots, num_words);
-          return sim::Traffic{(end - begin) * kWordBytes, kSlotCountBytes};
-        });
-  } else {
-    device.launch_slots("gr::compute_count",
-                        [&](unsigned slot, unsigned num_slots) {
-                          const auto [begin, end] =
-                              sim::slot_range(slot, num_slots, n);
-                          std::int64_t local = 0;
-                          for (std::int64_t i = begin; i < end; ++i) {
-                            const vid_t v = frontier.vertex(i);
-                            op(v);
-                            if (count(v)) ++local;
-                          }
-                          partials[slot] = local;
-                        },
-                        nullptr,
-                        [n](unsigned slot, unsigned num_slots) {
-                          const auto [begin, end] =
-                              sim::slot_range(slot, num_slots, n);
-                          return sim::Traffic{(end - begin) * kVidBytes,
-                                              kSlotCountBytes};
-                        });
-  }
-  std::int64_t total = 0;
-  for (unsigned slot = 0; slot < workers; ++slot) total += partials[slot];
-  return total;
-}
-
 /// Bitmap FilterOp: rebuilds a bitmap frontier in ONE word-owner slot
 /// kernel — each slot rewrites its contiguous word range (new word = pred
 /// survivors of the old word) and tallies the popcount locally, so there is
-/// no scan, no scatter, and no atomics; the per-round "compaction" the
-/// sparse representation pays 2 launches for collapses to word-wise bit
-/// writes. `pred(v)` may carry side effects; it runs exactly once per
-/// member, ascending within a word (globally ascending at one worker,
-/// matching the sparse filter's stable order). `buffer` (typically the
+/// no scan, no scatter, and no atomics; the per-round "compaction" a vertex
+/// list pays 2 launches for collapses to word-wise bit writes. `pred(v)`
+/// may carry side effects; it runs exactly once per member, ascending
+/// within a word (globally ascending at one worker, matching the list
+/// filter's stable order). `buffer` (typically the
 /// previous frontier's release_words()) is recycled as the output.
 template <typename Pred>
 [[nodiscard]] Frontier filter_bits(sim::Device& device,
@@ -327,58 +239,31 @@ template <typename Pred>
 }
 
 /// FilterOp: new frontier containing the input vertices where pred(v) holds.
-/// Bitmap frontiers rebuild word-wise (see filter_bits); others compact to
-/// a vertex list.
+/// Bitmap frontiers rebuild word-wise (see filter_bits); others compact the
+/// surviving vertex ids, in ascending frontier order, in two launches —
+/// flag+count and scatter. `pred(v)` runs exactly once per frontier vertex,
+/// in the flag pass.
 template <typename Pred>
 [[nodiscard]] Frontier filter(sim::Device& device, const Frontier& frontier,
                               Pred pred) {
   if (frontier.is_bitmap()) {
     return filter_bits(device, frontier, {}, std::move(pred));
   }
-  const std::vector<std::int64_t> kept = sim::compact_indices(
-      device, frontier.size(),
-      [&](std::int64_t i) { return pred(frontier.vertex(i)); },
-      sim::Traffic{kVidBytes, 0});
-  std::vector<vid_t> vertices(kept.size());
-  device.launch(
-      "gr::filter_gather", static_cast<std::int64_t>(kept.size()),
-      [&](std::int64_t k) {
-        vertices[static_cast<std::size_t>(k)] =
-            frontier.vertex(kept[static_cast<std::size_t>(k)]);
-      },
-      sim::Schedule::kStatic, 0, nullptr,
-      sim::Traffic{static_cast<std::int64_t>(sizeof(std::int64_t)) + kVidBytes,
-                   kVidBytes});
-  return Frontier::of(std::move(vertices), frontier.num_vertices());
-}
-
-/// Double-buffered FilterOp: compacts surviving VERTEX IDS straight into
-/// `buffer` (typically the previous frontier's released allocation), so the
-/// per-iteration compaction is two launches — flag+count and scatter — with
-/// no separate gather launch and no allocation once the buffers are warm.
-/// `pred(v)` may carry side effects (e.g. publishing a color snapshot); it
-/// runs exactly once per frontier vertex, in the flag pass.
-template <typename Pred>
-[[nodiscard]] Frontier filter_into(sim::Device& device,
-                                   const Frontier& frontier,
-                                   std::vector<vid_t>&& buffer, Pred pred) {
-  std::vector<vid_t> out = std::move(buffer);
-  if (frontier.is_empty()) {
-    out.clear();
-    return Frontier::of(std::move(out), frontier.num_vertices());
+  std::vector<vid_t> out;
+  if (!frontier.is_empty()) {
+    sim::detail::fused_compact(
+        device, frontier.size(),
+        [&](std::int64_t i) {
+          return static_cast<bool>(pred(frontier.vertex(i)));
+        },
+        [&](std::int64_t total) {
+          out.resize(static_cast<std::size_t>(total));
+        },
+        [&](std::int64_t i, std::int64_t pos) {
+          out[static_cast<std::size_t>(pos)] = frontier.vertex(i);
+        },
+        sim::Traffic{kVidBytes, 0}, sim::Traffic{kVidBytes, kVidBytes});
   }
-  sim::detail::fused_compact(
-      device, frontier.size(),
-      [&](std::int64_t i) {
-        return static_cast<bool>(pred(frontier.vertex(i)));
-      },
-      [&](std::int64_t total) {
-        out.resize(static_cast<std::size_t>(total));
-      },
-      [&](std::int64_t i, std::int64_t pos) {
-        out[static_cast<std::size_t>(pos)] = frontier.vertex(i);
-      },
-      sim::Traffic{kVidBytes, 0}, sim::Traffic{kVidBytes, kVidBytes});
   return Frontier::of(std::move(out), frontier.num_vertices());
 }
 
@@ -425,8 +310,7 @@ inline std::span<const vid_t> frontier_gather(sim::Device& device,
   return list;
 }
 
-/// Shared engine behind neighbor_reduce_fused and the edge-balanced bitmap
-/// push: degrees launch (finalizing degree-0 sources inline) + in-place
+/// Engine behind neighbor_reduce_bits' edge-balanced push: degrees launch (finalizing degree-0 sources inline) + in-place
 /// scan + one merge-path walk with boundary carries combined on the host.
 /// Sources are `vertex_of(i)` for i in [0, fsize); finalize(i, total) is
 /// index-keyed — callers translate to vertices as needed.
@@ -543,11 +427,10 @@ struct AdvanceResult {
 /// sense: slot counts come from a degree scan, and the fill launch is
 /// edge-balanced by default (merge-path over the scanned offsets), so
 /// high-degree vertices split across every worker instead of serializing on
-/// one. The degree-oblivious vertex-chunked fill remains selectable for the
-/// schedule ablation.
-[[nodiscard]] inline AdvanceResult advance(
-    sim::Device& device, const graph::Csr& csr, const Frontier& frontier,
-    AdvancePolicy policy = AdvancePolicy::kEdgeBalanced) {
+/// one.
+[[nodiscard]] inline AdvanceResult advance(sim::Device& device,
+                                           const graph::Csr& csr,
+                                           const Frontier& frontier) {
   const std::int64_t fsize = frontier.size();
   AdvanceResult result;
   result.segment_offsets.resize(static_cast<std::size_t>(fsize) + 1);
@@ -572,35 +455,20 @@ struct AdvanceResult {
                            static_cast<std::size_t>(fsize)));
   result.segment_offsets[static_cast<std::size_t>(fsize)] = total;
 
-  // Launch 4: balanced neighbor fill.
+  // Launch 4: edge-balanced neighbor fill.
   result.neighbors.resize(static_cast<std::size_t>(total));
-  if (policy == AdvancePolicy::kEdgeBalanced) {
-    sim::for_each_segment_range<eid_t>(
-        device, "gr::advance_fill", result.segment_offsets,
-        [&](std::int64_t s, std::int64_t local_begin, std::int64_t local_end,
-            std::int64_t global_begin) {
-          const auto adj = csr.neighbors(frontier.vertex(s));
-          for (std::int64_t k = local_begin; k < local_end; ++k) {
-            result.neighbors[static_cast<std::size_t>(
-                global_begin + (k - local_begin))] =
-                adj[static_cast<std::size_t>(k)];
-          }
-        },
-        nullptr, sim::Traffic{kVidBytes, kVidBytes});
-  } else {
-    device.launch(
-        "gr::advance_fill", fsize,
-        [&](std::int64_t i) {
-          const vid_t v = frontier.vertex(i);
-          const auto out = static_cast<std::size_t>(
-              result.segment_offsets[static_cast<std::size_t>(i)]);
-          const auto adj = csr.neighbors(v);
-          for (std::size_t k = 0; k < adj.size(); ++k) {
-            result.neighbors[out + k] = adj[k];
-          }
-        },
-        sim::Schedule::kDynamic);
-  }
+  sim::for_each_segment_range<eid_t>(
+      device, "gr::advance_fill", result.segment_offsets,
+      [&](std::int64_t s, std::int64_t local_begin, std::int64_t local_end,
+          std::int64_t global_begin) {
+        const auto adj = csr.neighbors(frontier.vertex(s));
+        for (std::int64_t k = local_begin; k < local_end; ++k) {
+          result.neighbors[static_cast<std::size_t>(
+              global_begin + (k - local_begin))] =
+              adj[static_cast<std::size_t>(k)];
+        }
+      },
+      nullptr, sim::Traffic{kVidBytes, kVidBytes});
   return result;
 }
 
@@ -739,68 +607,25 @@ struct AdvanceResult {
 template <typename T, typename Map, typename ReduceOp>
 void neighbor_reduce(sim::Device& device, const graph::Csr& csr,
                      const Frontier& frontier, Map map, ReduceOp reduce_op,
-                     T identity, std::span<T> out,
-                     AdvancePolicy policy = AdvancePolicy::kEdgeBalanced) {
-  const AdvanceResult advanced = advance(device, csr, frontier, policy);
+                     T identity, std::span<T> out) {
+  const AdvanceResult advanced = advance(device, csr, frontier);
   // Map the advanced neighbors to reduction inputs (one launch)...
   std::vector<T> values(advanced.neighbors.size());
-  if (policy == AdvancePolicy::kEdgeBalanced) {
-    sim::for_each_segment_range<eid_t>(
-        device, "gr::neighbor_map", advanced.segment_offsets,
-        [&](std::int64_t s, std::int64_t local_begin, std::int64_t local_end,
-            std::int64_t global_begin) {
-          const vid_t v = frontier.vertex(s);
-          for (std::int64_t k = local_begin; k < local_end; ++k) {
-            const auto p =
-                static_cast<std::size_t>(global_begin + (k - local_begin));
-            values[p] = map(v, advanced.neighbors[p]);
-          }
-        },
-        nullptr, sim::Traffic{kVidBytes, static_cast<std::int64_t>(sizeof(T))});
-  } else {
-    device.launch(
-        "gr::neighbor_map", frontier.size(),
-        [&](std::int64_t i) {
-          const vid_t v = frontier.vertex(i);
-          const auto begin = static_cast<std::size_t>(
-              advanced.segment_offsets[static_cast<std::size_t>(i)]);
-          const auto end = static_cast<std::size_t>(
-              advanced.segment_offsets[static_cast<std::size_t>(i) + 1]);
-          for (std::size_t k = begin; k < end; ++k) {
-            values[k] = map(v, advanced.neighbors[k]);
-          }
-        },
-        sim::Schedule::kDynamic);
-  }
+  sim::for_each_segment_range<eid_t>(
+      device, "gr::neighbor_map", advanced.segment_offsets,
+      [&](std::int64_t s, std::int64_t local_begin, std::int64_t local_end,
+          std::int64_t global_begin) {
+        const vid_t v = frontier.vertex(s);
+        for (std::int64_t k = local_begin; k < local_end; ++k) {
+          const auto p =
+              static_cast<std::size_t>(global_begin + (k - local_begin));
+          values[p] = map(v, advanced.neighbors[p]);
+        }
+      },
+      nullptr, sim::Traffic{kVidBytes, static_cast<std::int64_t>(sizeof(T))});
   // ...then segmented-reduce per source (one launch).
   sim::segmented_reduce<T, eid_t>(device, advanced.segment_offsets, values,
                                   out, identity, reduce_op);
-}
-
-/// Fused NeighborReduceOp: the advance, map, segmented reduction AND the
-/// per-source consumer collapse into one edge-balanced pass. For each
-/// frontier slot i with vertex v, reduces map(v, u) over v's neighbors u
-/// with `reduce_op` (associative AND commutative) from `identity`, then
-/// calls finalize(i, total) exactly once — inline in the kernel when one
-/// worker covers the whole neighborhood (the overwhelmingly common case),
-/// otherwise on the host after combining the <= 2-per-worker boundary
-/// carries, the same serial-combine discipline every reduce uses.
-///
-/// Neighbor lists are never materialized: no advance_fill, no values array.
-/// Launches: degrees (which also finalizes degree-0 sources) + in-place
-/// scan (0 or 2) + one fused walk — 2-4 per call instead of 7 for
-/// neighbor_reduce + a separate consumer launch. This is what lifts the
-/// §IV-B3 restriction that "a second reduction requires another full
-/// neighbor-reduce": a pair-valued reduce_op (e.g. min-max) plus an inline
-/// finalize does the compare-and-color in the same pass.
-template <typename T, typename Map, typename ReduceOp, typename Finalize>
-void neighbor_reduce_fused(sim::Device& device, const graph::Csr& csr,
-                           const Frontier& frontier, Map map,
-                           ReduceOp reduce_op, T identity, Finalize finalize) {
-  detail::nr_fused_impl<T>(
-      device, csr, frontier.size(),
-      [&](std::int64_t i) { return frontier.vertex(i); }, map, reduce_op,
-      identity, finalize, nullptr);
 }
 
 /// Direction-optimized fused NeighborReduceOp over a bitmap frontier: for
@@ -818,6 +643,9 @@ void neighbor_reduce_fused(sim::Device& device, const graph::Csr& csr,
 ///          splits across workers.
 /// All three finalize each vertex exactly once with the exact reduction
 /// over its full neighborhood, so results are schedule-independent.
+/// Neighbor lists are never materialized, and a pair-valued reduce_op
+/// (e.g. min-max) with an inline finalize does the compare-and-color in the
+/// same pass — what lifts the §IV-B3 restriction neighbor_reduce keeps.
 template <typename T, typename Map, typename ReduceOp, typename Finalize>
 void neighbor_reduce_bits(sim::Device& device, const graph::Csr& csr,
                           const Frontier& frontier, Map map,

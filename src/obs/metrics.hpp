@@ -46,8 +46,8 @@ struct KernelStat {
   double total_ms = 0.0;       ///< total wall time including barriers
   /// Traversal direction stamped by the launch ("push"/"pull"), nullptr for
   /// direction-less kernels. Points at a string literal; when a kernel name
-  /// is launched under both directions the last observed one wins (only
-  /// "gr::compute_count" shares a name across directions today).
+  /// is launched under both directions the last observed one wins (e.g.
+  /// "gr::filter_bits", whose one name covers both directions).
   const char* direction = nullptr;
   /// Bitmask of stream ids this kernel launched on (bit min(stream, 63));
   /// 0 when only the name/items/ms overload recorded. Serialized as a

@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/jones_plassmann.hpp"
 #include "core/registry.hpp"
 #include "core/verify.hpp"
 #include "graph/build.hpp"
@@ -226,6 +227,37 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(param_info.param) + "_" +
              family_name(std::get<1>(param_info.param));
     });
+
+// jp_ldf packs (degree, 31-bit draw) with no id. On this graph, at the
+// default seed, the one edge's endpoints have equal degree AND equal draw,
+// so their priorities tie. The higher original id must win the tie: it
+// colors 0 in round 1, and the other endpoint colors 1 in round 2, at every
+// worker count (the binary runs at 1 and 4 workers).
+TEST(JonesPlassmannTie, EqualPrioritiesColorInSeparateRounds) {
+  constexpr vid_t kN = 46020;
+  constexpr vid_t kLow = 32100;
+  constexpr vid_t kHigh = 46019;
+  graph::Coo coo;
+  coo.num_vertices = kN;
+  coo.add_edge(kLow, kHigh);
+  const graph::Csr csr = graph::build_csr(coo);
+  const AlgorithmSpec* spec = find_algorithm("jp_ldf");
+  ASSERT_NE(spec, nullptr);
+
+  JonesPlassmannOptions jp;
+  jp.priority = JpPriority::kLargestDegreeFirst;
+  const std::vector<std::int64_t> priority =
+      jones_plassmann_priorities(csr, jp);
+  ASSERT_EQ(priority[kLow], priority[kHigh]) << "the fixture must tie";
+
+  const Coloring coloring = spec->run(csr, Options{});
+  EXPECT_EQ(coloring.iterations, 2);
+  EXPECT_EQ(coloring.colors[kHigh], 0);
+  EXPECT_EQ(coloring.colors[kLow], 1);
+  const auto* colored = coloring.metrics.series("colored");
+  ASSERT_NE(colored, nullptr);
+  EXPECT_EQ(*colored, (std::vector<std::int64_t>{kN - 1, kN}));
+}
 
 }  // namespace
 }  // namespace gcol::color

@@ -280,8 +280,8 @@ std::vector<graph::Csr> oracle_graphs() {
 TEST(GunrockAr, MatchesSerialOracleInEveryMode) {
   for (const bool fused : {false, true}) {
     for (const auto mode :
-         {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
-          gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+         {gr::FrontierMode::kBitmapPush, gr::FrontierMode::kBitmapPull,
+          gr::FrontierMode::kAuto}) {
       GunrockArOptions options;
       options.fused_minmax = fused;
       options.frontier_mode = mode;
@@ -389,8 +389,8 @@ std::vector<GunrockIsOptions> is_variants() {
 TEST(GunrockIs, MatchesSerialOracleInEveryMode) {
   for (GunrockIsOptions options : is_variants()) {
     for (const auto mode :
-         {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
-          gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+         {gr::FrontierMode::kBitmapPush, gr::FrontierMode::kBitmapPull,
+          gr::FrontierMode::kAuto}) {
       options.frontier_mode = mode;
       for (const auto& csr : oracle_graphs()) {
         const Coloring oracle = is_oracle(csr, options);
@@ -426,14 +426,16 @@ TEST(GunrockIs, MatchesSerialOracleUnderRelabeledIds) {
 
 // ---- Jones-Plassmann equals greedy in priority order -----------------------
 
-/// Sequential first-fit greedy over the vertices in descending priority.
+/// Sequential first-fit greedy over the vertices in descending priority,
+/// equal priorities in descending id (JP's tie break).
 std::vector<std::int32_t> greedy_in_priority_order(
     const graph::Csr& csr, const std::vector<std::int64_t>& priority) {
   std::vector<vid_t> order(static_cast<std::size_t>(csr.num_vertices));
   std::iota(order.begin(), order.end(), vid_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](vid_t a, vid_t b) {
-    return priority[static_cast<std::size_t>(a)] >
-           priority[static_cast<std::size_t>(b)];
+  std::sort(order.begin(), order.end(), [&](vid_t a, vid_t b) {
+    const std::int64_t pa = priority[static_cast<std::size_t>(a)];
+    const std::int64_t pb = priority[static_cast<std::size_t>(b)];
+    return pa > pb || (pa == pb && a > b);
   });
   std::vector<std::int32_t> colors(order.size(), kUncolored);
   for (const vid_t v : order) {
@@ -459,8 +461,8 @@ TEST(JonesPlassmann, EqualsGreedyInPriorityOrder) {
         JpPriority::kSmallestDegreeLast,
         JpPriority::kHybridDegreeThenRandom}) {
     for (const auto mode :
-         {gr::FrontierMode::kSparse, gr::FrontierMode::kBitmapPush,
-          gr::FrontierMode::kBitmapPull, gr::FrontierMode::kAuto}) {
+         {gr::FrontierMode::kBitmapPush, gr::FrontierMode::kBitmapPull,
+          gr::FrontierMode::kAuto}) {
       JonesPlassmannOptions options;
       options.priority = priority;
       options.frontier_mode = mode;

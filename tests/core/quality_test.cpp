@@ -14,13 +14,11 @@
 namespace gcol::color {
 namespace {
 
-Coloring run(const char* name, const graph::Csr& csr, std::uint64_t seed = 1,
-             gr::FrontierMode mode = gr::FrontierMode::kAuto) {
+Coloring run(const char* name, const graph::Csr& csr, std::uint64_t seed = 1) {
   const AlgorithmSpec* spec = find_algorithm(name);
   EXPECT_NE(spec, nullptr) << name;
   Options options;
   options.seed = seed;
-  options.frontier_mode = mode;
   Coloring result = spec->run(csr, options);
   EXPECT_TRUE(is_valid_coloring(csr, result.colors)) << name;
   return result;
@@ -107,22 +105,11 @@ TEST(PaperClaims, MisCostsMoreLaunchesThanIsAndJpl) {
 }
 
 TEST(PaperClaims, ArIsTheLaunchHeaviestGunrockVariant) {
-  // Table II baseline: AR pays advance + segmented reduce + filter per
-  // color; per-iteration launch cost dominates IS and Hash. The claim is
-  // about the paper's launch structure, so it is pinned to the sparse-list
-  // frontier (the bitmap engine fuses IS down to one launch per round and
-  // AR to two, compressing the ratio to exactly 2x).
+  // Table II baseline: AR pays a neighbor reduce plus a filter per color;
+  // per-iteration launch cost dominates IS and Hash. The direction-
+  // optimized engine keeps AR the launch-heaviest variant even after
+  // fusion: 2 launches per round vs IS's single fused launch.
   const auto csr = mesh_graph();
-  const Coloring ar = run("gunrock_ar", csr, 1, gr::FrontierMode::kSparse);
-  const Coloring is = run("gunrock_is", csr, 1, gr::FrontierMode::kSparse);
-  const double ar_per_iter = static_cast<double>(ar.kernel_launches) /
-                             std::max(1, ar.iterations);
-  const double is_per_iter = static_cast<double>(is.kernel_launches) /
-                             std::max(1, is.iterations);
-  EXPECT_GT(ar_per_iter, 2.0 * is_per_iter);
-
-  // The direction-optimized engine keeps AR the launch-heaviest variant
-  // even after fusion: 2 launches per round vs IS's single fused launch.
   const Coloring ar_auto = run("gunrock_ar", csr);
   const Coloring is_auto = run("gunrock_is", csr);
   EXPECT_GE(static_cast<double>(ar_auto.kernel_launches) /

@@ -116,15 +116,16 @@ TEST(Frontier, ReleaseWordsRecyclesTheBuffer) {
 }
 
 TEST(FrontierMode, ToStringAndParseRoundTrip) {
-  for (const FrontierMode mode :
-       {FrontierMode::kSparse, FrontierMode::kBitmapPush,
-        FrontierMode::kBitmapPull, FrontierMode::kAuto}) {
+  for (const FrontierMode mode : {FrontierMode::kBitmapPush,
+                                  FrontierMode::kBitmapPull,
+                                  FrontierMode::kAuto}) {
     FrontierMode parsed{};
     EXPECT_TRUE(parse_frontier_mode(to_string(mode), parsed));
     EXPECT_EQ(parsed, mode);
   }
   FrontierMode parsed{};
   EXPECT_FALSE(parse_frontier_mode("dense", parsed));
+  EXPECT_FALSE(parse_frontier_mode("sparse", parsed));
 }
 
 }  // namespace
