@@ -355,7 +355,7 @@ BENCHMARK(BM_CsrGatherPrefetch)
 // Cache-aware CSR relabeling (DESIGN.md §3g): the one-time preprocessing
 // cost each reorder strategy charges before the color phase earns it back.
 // make_permutation + relabel end to end on a skewed R-MAT — the histogram /
-// scan / scatter pipeline plus the per-row neighbor translation and re-sort.
+// scan pipeline plus the ordered-transpose scatter.
 template <graph::ReorderStrategy strategy>
 void BM_Relabel(benchmark::State& state) {
   const auto csr = graph::build_csr(graph::generate_rmat(

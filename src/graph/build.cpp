@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "graph/reorder.hpp"
 #include "sim/rng.hpp"
 
 namespace gcol::graph {
@@ -103,34 +104,20 @@ Csr build_csr(const Coo& coo, const BuildOptions& options) {
   return csr;
 }
 
-Csr permute_vertices(const Csr& csr, std::span<const vid_t> new_id_of) {
-  if (new_id_of.size() != static_cast<std::size_t>(csr.num_vertices)) {
-    throw std::invalid_argument("permute_vertices: wrong permutation size");
-  }
-  Coo coo;
-  coo.num_vertices = csr.num_vertices;
-  coo.reserve(static_cast<std::size_t>(csr.num_edges()));
-  for (vid_t v = 0; v < csr.num_vertices; ++v) {
-    for (const vid_t u : csr.neighbors(v)) {
-      coo.add_edge(new_id_of[static_cast<std::size_t>(v)],
-                   new_id_of[static_cast<std::size_t>(u)]);
-    }
-  }
-  // Edges already appear in both directions; just clean and sort.
-  return build_csr(coo, {.symmetrize = false});
-}
-
 Csr shuffle_vertices(const Csr& csr, std::uint64_t seed) {
   const auto n = static_cast<std::size_t>(csr.num_vertices);
-  std::vector<vid_t> new_id_of(n);
-  for (std::size_t i = 0; i < n; ++i) new_id_of[i] = static_cast<vid_t>(i);
+  Permutation perm = identity_permutation(csr.num_vertices);
   const sim::CounterRng rng(seed);
   for (std::size_t i = n; i > 1; --i) {
     const auto j = static_cast<std::size_t>(
         rng.uniform_below(i, static_cast<std::uint64_t>(i)));
-    std::swap(new_id_of[i - 1], new_id_of[j]);
+    std::swap(perm.new_of_old[i - 1], perm.new_of_old[j]);
   }
-  return permute_vertices(csr, new_id_of);
+  for (std::size_t v = 0; v < n; ++v) {
+    perm.old_of_new[static_cast<std::size_t>(perm.new_of_old[v])] =
+        static_cast<vid_t>(v);
+  }
+  return relabel(csr, perm);
 }
 
 Coo to_coo(const Csr& csr) {

@@ -4,7 +4,6 @@
 // and self-loops and duplicated edges are removed."
 
 #include <cstdint>
-#include <span>
 
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
@@ -27,17 +26,12 @@ struct BuildOptions {
 /// by the Matrix Market writer.
 [[nodiscard]] Coo to_coo(const Csr& csr);
 
-/// Relabels vertices: new graph where old vertex v becomes new_id_of[v].
-/// `new_id_of` must be a permutation of [0, n). The result is isomorphic to
-/// the input (adjacency lists re-sorted).
-[[nodiscard]] Csr permute_vertices(const Csr& csr,
-                                   std::span<const vid_t> new_id_of);
-
 /// Relabels vertices with a seeded random permutation. Used by the dataset
 /// analogues: synthetic lattices have accidentally-perfect natural vertex
 /// orders (a row-major grid 2-colors greedily), which real SuiteSparse
 /// application orderings do not; shuffling removes that artifact without
-/// changing the graph.
+/// changing the graph. Applies a Fisher-Yates permutation through
+/// graph::relabel.
 [[nodiscard]] Csr shuffle_vertices(const Csr& csr, std::uint64_t seed);
 
 }  // namespace gcol::graph

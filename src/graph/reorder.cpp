@@ -9,7 +9,6 @@
 #include "sim/device.hpp"
 #include "sim/histogram.hpp"
 #include "sim/scan.hpp"
-#include "sim/simd.hpp"
 
 namespace gcol::graph {
 
@@ -61,39 +60,69 @@ void dbg_order(sim::Device& device, const Csr& csr,
 /// Cuthill-McKee visit order over every component, written into
 /// `old_of_new`. Inherently sequential (each dequeue depends on the order so
 /// far), so it runs as one accounted host pass; the component seeds are
-/// pseudo-peripheral vertices found by repeated BFS (the standard
-/// George-Liu refinement, capped at three sweeps).
+/// pseudo-peripheral vertices found by repeated direction-optimizing BFS
+/// (the standard George-Liu refinement, capped at three sweeps).
 void bfs_cm_order(sim::Device& device, const Csr& csr,
                   std::span<vid_t> old_of_new) {
   const vid_t n = csr.num_vertices;
   device.host_pass("reorder::bfs_cm", [&] {
-    std::vector<std::int32_t> stamp(static_cast<std::size_t>(n), 0);
-    std::int32_t epoch = 0;
+    std::vector<std::int64_t> stamp(static_cast<std::size_t>(n), 0);
+    std::int64_t epoch = 0;
 
     // BFS from `seed` over vertices not yet emitted (stamp != kEmitted),
-    // returning the depth and a minimum-degree vertex of the last level.
-    constexpr std::int32_t kEmitted = -1;
+    // returning the depth and a minimum-(degree, id) vertex of the last
+    // level. Both are fixed by the level sets, so a level may be found
+    // top-down or — once the frontier touches more than 1/kBottomUpShare of
+    // all edges (a fixed-share form of Beamer's direction-optimizing rule)
+    // — bottom-up, each unreached vertex looking for a neighbor in the
+    // frontier. The share is of all edges, not of the unexplored ones, so a
+    // small component never pays a bottom-up level's scan over all n
+    // vertices. Every level gets its own epoch (64-bit, so they never wrap):
+    // stamp == level is the frontier, stamp >= first is everything this BFS
+    // has reached.
+    constexpr std::int64_t kEmitted = -1;
+    constexpr eid_t kBottomUpShare = 16;
     std::vector<vid_t> frontier, next;
     const auto bfs_extent = [&](vid_t seed) {
-      ++epoch;
+      const std::int64_t first = ++epoch;
+      const auto unreached = [&](vid_t v) {
+        const std::int64_t mark = stamp[static_cast<std::size_t>(v)];
+        return mark != kEmitted && mark < first;
+      };
       frontier.assign(1, seed);
       stamp[static_cast<std::size_t>(seed)] = epoch;
+      eid_t frontier_edges = csr.degree(seed);
       vid_t depth = 0;
       vid_t far_vertex = seed;
       while (true) {
         next.clear();
-        for (const vid_t v : frontier) {
-          for (const vid_t w : csr.neighbors(v)) {
-            std::int32_t& mark = stamp[static_cast<std::size_t>(w)];
-            if (mark == epoch || mark == kEmitted) continue;
-            mark = epoch;
-            next.push_back(w);
+        const std::int64_t level = epoch++;
+        if (frontier_edges * kBottomUpShare > csr.num_edges()) {
+          for (vid_t v = 0; v < n; ++v) {
+            if (!unreached(v)) continue;
+            for (const vid_t w : csr.neighbors(v)) {
+              if (stamp[static_cast<std::size_t>(w)] == level) {
+                stamp[static_cast<std::size_t>(v)] = epoch;
+                next.push_back(v);
+                break;
+              }
+            }
+          }
+        } else {
+          for (const vid_t v : frontier) {
+            for (const vid_t w : csr.neighbors(v)) {
+              if (!unreached(w)) continue;
+              stamp[static_cast<std::size_t>(w)] = epoch;
+              next.push_back(w);
+            }
           }
         }
         if (next.empty()) break;
         ++depth;
         far_vertex = next[0];
+        frontier_edges = 0;
         for (const vid_t v : next) {
+          frontier_edges += csr.degree(v);
           if (csr.degree(v) < csr.degree(far_vertex) ||
               (csr.degree(v) == csr.degree(far_vertex) && v < far_vertex)) {
             far_vertex = v;
@@ -232,8 +261,9 @@ Permutation make_permutation(const Csr& csr, ReorderStrategy strategy) {
 
 Csr relabel(const Csr& csr, const Permutation& perm) {
   const vid_t n = csr.num_vertices;
-  if (perm.size() != n) {
-    throw std::invalid_argument("relabel: permutation size != num_vertices");
+  if (perm.size() != n || !perm.check()) {
+    throw std::invalid_argument(
+        "relabel: permutation is not a bijection on [0, num_vertices)");
   }
   sim::Device& device = sim::Device::instance();
   const std::span<const vid_t> old_of_new = perm.old_of_new;
@@ -255,30 +285,23 @@ Csr relabel(const Csr& csr, const Permutation& perm) {
   const eid_t total = sim::exclusive_scan<eid_t>(device, offsets, offsets);
   out.row_offsets[static_cast<std::size_t>(n)] = total;
 
-  // Translate each old adjacency list into new ids and re-sort it — the
-  // gather-scatter kernel whose locality the reordering exists to improve.
-  // Dynamic schedule: hub rows are orders of magnitude longer than tails.
-  device.launch(
-      "reorder::gather_adjacency", n,
-      [&](std::int64_t u) {
-        const vid_t old_v = old_of_new[static_cast<std::size_t>(u)];
-        const std::span<const vid_t> nbrs = csr.neighbors(old_v);
-        vid_t* row = out.col_indices.data() +
-                     static_cast<std::size_t>(
-                         out.row_offsets[static_cast<std::size_t>(u)]);
-        const auto len = static_cast<std::int64_t>(nbrs.size());
-        for (std::int64_t k = 0; k < len; ++k) {
-          if (k + sim::kGatherPrefetchDistance < len) {
-            sim::prefetch(&new_of_old[static_cast<std::size_t>(
-                nbrs[static_cast<std::size_t>(
-                    k + sim::kGatherPrefetchDistance)])]);
-          }
-          row[k] = new_of_old[static_cast<std::size_t>(
-              nbrs[static_cast<std::size_t>(k)])];
-        }
-        std::sort(row, row + len);
-      },
-      sim::Schedule::kDynamic, 64);
+  // Ordered transpose: walking new ids s ascending and appending s to the
+  // row of each neighbor leaves every row ascending with no sort, because a
+  // symmetric input's row new_of_old[w] is exactly {s : w in N(old_of_new[s])}.
+  // offsets[r] is row r's write cursor; once row r is full it holds row
+  // r + 1's start, so one shift restores the offsets.
+  device.host_pass("reorder::transpose_adjacency", [&] {
+    for (vid_t s = 0; s < n; ++s) {
+      for (const vid_t w :
+           csr.neighbors(old_of_new[static_cast<std::size_t>(s)])) {
+        const vid_t row = new_of_old[static_cast<std::size_t>(w)];
+        out.col_indices[static_cast<std::size_t>(
+            offsets[static_cast<std::size_t>(row)]++)] = s;
+      }
+    }
+    std::shift_right(offsets.begin(), offsets.end(), 1);
+    out.row_offsets[0] = 0;
+  });
 
   return out;
 }

@@ -71,11 +71,14 @@ struct Permutation {
 [[nodiscard]] Permutation make_permutation(const Csr& csr,
                                            ReorderStrategy strategy);
 
-/// Rebuilds `csr` under `perm`: vertex old becomes perm.new_of_old[old],
-/// adjacency translated and re-sorted ascending, all Csr invariants
-/// preserved. Runs as three device kernels (gather degrees, exclusive scan,
-/// gather-translate-sort adjacency), so relabeling shows up in traces,
-/// per-kernel metrics and launch counts like any other phase.
+/// Rebuilds `csr` under `perm`: vertex old becomes perm.new_of_old[old], all
+/// Csr invariants preserved. Runs as a gather-degrees kernel, an exclusive
+/// scan, and one accounted host pass that scatters the ordered transpose:
+/// new ids are appended to their neighbors' rows in ascending order, so every
+/// row comes out sorted without a sort. That relies on the Csr symmetry
+/// invariant (csr.hpp) — a directed CSR would come back transposed. Throws
+/// std::invalid_argument unless `perm` is a bijection on [0, num_vertices)
+/// (Permutation::check).
 [[nodiscard]] Csr relabel(const Csr& csr, const Permutation& perm);
 
 }  // namespace gcol::graph

@@ -1,18 +1,21 @@
 // Cache-aware reordering subsystem (graph/reorder.hpp) tests: permutation
 // round-trips, relabeled-CSR isomorphism invariants, the strategy-specific
-// ordering properties, and — the external contract — every registered
-// algorithm under every reorder strategy producing a conflict-free coloring
-// on the ORIGINAL labeling, byte-identical to its identity-layout coloring
-// for every algorithm whose result is a pure function of the logical graph.
-// tests/CMakeLists.txt registers this binary at GCOL_THREADS=1 and 4 (and
-// the TSan CI job runs both), so the histogram/scan/scatter relabel pipeline
-// and the un-permute kernel are exercised under real concurrency.
+// ordering properties, serial oracles for the bfs permutation and the
+// relabeled CSR on adversarial graphs, and — the external contract — every
+// registered algorithm under every reorder strategy producing a
+// conflict-free coloring on the ORIGINAL labeling, byte-identical to its
+// identity-layout coloring for every algorithm whose result is a pure
+// function of the logical graph. tests/CMakeLists.txt registers this binary
+// at GCOL_THREADS=1 and 4 (and the TSan CI job runs both), so the parallel
+// degree gather, scan and un-permute kernels around the serial Cuthill-McKee
+// and transpose host passes are exercised under real concurrency.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,10 +23,12 @@
 #include <utility>
 #include <vector>
 
+#include "../testing/fixtures.hpp"
 #include "core/registry.hpp"
 #include "core/verify.hpp"
 #include "graph/build.hpp"
 #include "graph/generators/erdos_renyi.hpp"
+#include "graph/generators/mesh.hpp"
 #include "graph/generators/rgg.hpp"
 #include "graph/generators/rmat.hpp"
 #include "graph/reorder.hpp"
@@ -197,6 +202,178 @@ TEST(ReorderRelabelTest, IdentityRelabelIsByteIdentical) {
       relabel(csr, make_permutation(csr, ReorderStrategy::kIdentity));
   EXPECT_EQ(relabeled.row_offsets, csr.row_offsets);
   EXPECT_EQ(relabeled.col_indices, csr.col_indices);
+}
+
+TEST(ReorderRelabelTest, RelabelRejectsOutOfRangeEntry) {
+  const Csr csr = make_graph(Family::kErdosRenyi);
+  Permutation bad = identity_permutation(csr.num_vertices);
+  bad.old_of_new[0] = csr.num_vertices + 1000;
+  EXPECT_THROW((void)relabel(csr, bad), std::invalid_argument);
+}
+
+TEST(ReorderRelabelTest, RelabelRejectsRepeatedEntry) {
+  const Csr csr = make_graph(Family::kErdosRenyi);
+  Permutation bad = identity_permutation(csr.num_vertices);
+  bad.old_of_new[1] = 0;
+  bad.new_of_old[1] = 0;
+  EXPECT_THROW((void)relabel(csr, bad), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Serial oracles on adversarial graphs
+// ---------------------------------------------------------------------------
+
+/// Reference Cuthill-McKee order: a plain serial copy of the top-down
+/// pseudo-peripheral search and emission that graph::make_permutation(kBfs)
+/// must reproduce exactly, whichever direction its sweeps take per level.
+std::vector<vid_t> reference_bfs_cm_order(const Csr& csr) {
+  const vid_t n = csr.num_vertices;
+  constexpr std::int32_t kEmitted = -1;
+  std::vector<std::int32_t> stamp(static_cast<std::size_t>(n), 0);
+  std::int32_t epoch = 0;
+  const auto by_degree_then_id = [&](vid_t a, vid_t b) {
+    return csr.degree(a) != csr.degree(b) ? csr.degree(a) < csr.degree(b)
+                                          : a < b;
+  };
+  const auto bfs_extent = [&](vid_t seed) {
+    ++epoch;
+    std::vector<vid_t> frontier{seed};
+    stamp[static_cast<std::size_t>(seed)] = epoch;
+    vid_t depth = 0;
+    vid_t far_vertex = seed;
+    while (true) {
+      std::vector<vid_t> next;
+      for (const vid_t v : frontier) {
+        for (const vid_t w : csr.neighbors(v)) {
+          std::int32_t& mark = stamp[static_cast<std::size_t>(w)];
+          if (mark == epoch || mark == kEmitted) continue;
+          mark = epoch;
+          next.push_back(w);
+        }
+      }
+      if (next.empty()) break;
+      ++depth;
+      far_vertex = *std::min_element(next.begin(), next.end(),
+                                     by_degree_then_id);
+      frontier = std::move(next);
+    }
+    return std::pair<vid_t, vid_t>{depth, far_vertex};
+  };
+
+  std::vector<vid_t> order;
+  for (vid_t v0 = 0; v0 < n; ++v0) {
+    if (stamp[static_cast<std::size_t>(v0)] == kEmitted) continue;
+    vid_t seed = v0;
+    vid_t prev_depth = -1;
+    for (int sweep = 0; sweep < 3; ++sweep) {
+      const auto [depth, far_vertex] = bfs_extent(seed);
+      if (depth <= prev_depth || far_vertex == seed) break;
+      prev_depth = depth;
+      seed = far_vertex;
+    }
+    std::size_t head = order.size();
+    order.push_back(seed);
+    stamp[static_cast<std::size_t>(seed)] = kEmitted;
+    for (; head < order.size(); ++head) {
+      std::vector<vid_t> fresh;
+      for (const vid_t w : csr.neighbors(order[head])) {
+        if (stamp[static_cast<std::size_t>(w)] == kEmitted) continue;
+        stamp[static_cast<std::size_t>(w)] = kEmitted;
+        fresh.push_back(w);
+      }
+      std::sort(fresh.begin(), fresh.end(), by_degree_then_id);
+      order.insert(order.end(), fresh.begin(), fresh.end());
+    }
+  }
+  return order;
+}
+
+/// Reference relabel: gather each new row from its old row, translate, sort.
+Csr reference_relabel(const Csr& csr, const Permutation& perm) {
+  Csr out;
+  out.num_vertices = csr.num_vertices;
+  out.row_offsets.push_back(0);
+  for (const vid_t old_v : perm.old_of_new) {
+    std::vector<vid_t> row;
+    for (const vid_t w : csr.neighbors(old_v)) {
+      row.push_back(perm.new_of_old[static_cast<std::size_t>(w)]);
+    }
+    std::sort(row.begin(), row.end());
+    out.col_indices.insert(out.col_indices.end(), row.begin(), row.end());
+    out.row_offsets.push_back(static_cast<eid_t>(out.col_indices.size()));
+  }
+  return out;
+}
+
+/// Graphs chosen to hit every branch of the sweeps: thousands of components
+/// (R-MAT), long diameters (mesh, path), one hub whose frontier forces
+/// bottom-up levels (star), components small enough that their first level
+/// already goes bottom-up while other components sit unreached (two
+/// cliques, dust), and the degenerate sizes.
+std::vector<std::pair<std::string, Csr>> adversarial_graphs() {
+  Coo cliques;
+  cliques.num_vertices = 13;
+  for (const auto& [lo, hi] : {std::pair{0, 6}, std::pair{6, 13}}) {
+    for (vid_t u = lo; u < hi; ++u) {
+      for (vid_t v = u + 1; v < hi; ++v) cliques.add_edge(u, v);
+    }
+  }
+  Coo dust;
+  dust.num_vertices = 1000;
+  dust.add_edge(999, 0);
+  dust.add_edge(500, 501);
+  dust.add_edge(501, 502);
+  std::vector<std::pair<std::string, Csr>> graphs;
+  graphs.emplace_back("rmat10", build_csr(generate_rmat(10, 16, {.seed = 3})));
+  graphs.emplace_back("rmat12", build_csr(generate_rmat(12, 16, {.seed = 5})));
+  graphs.emplace_back("mesh", build_csr(generate_mesh2d(40, 30)));
+  graphs.emplace_back("star", gcol::testing::star_graph(4096));
+  graphs.emplace_back("two_cliques", build_csr(cliques));
+  graphs.emplace_back("path", gcol::testing::path_graph(300));
+  graphs.emplace_back("dust", build_csr(dust));
+  graphs.emplace_back("single", gcol::testing::empty_graph(1));
+  graphs.emplace_back("empty", gcol::testing::empty_graph(0));
+  return graphs;
+}
+
+/// A seeded random permutation with its inverse.
+Permutation random_permutation(vid_t n, std::uint32_t seed) {
+  Permutation perm = identity_permutation(n);
+  std::mt19937 rng(seed);
+  std::shuffle(perm.new_of_old.begin(), perm.new_of_old.end(), rng);
+  for (vid_t v = 0; v < n; ++v) {
+    perm.old_of_new[static_cast<std::size_t>(
+        perm.new_of_old[static_cast<std::size_t>(v)])] = v;
+  }
+  return perm;
+}
+
+TEST(ReorderOracleTest, BfsPermutationMatchesSerialOracle) {
+  for (const auto& [name, csr] : adversarial_graphs()) {
+    const Permutation perm = make_permutation(csr, ReorderStrategy::kBfs);
+    EXPECT_EQ(perm.old_of_new, reference_bfs_cm_order(csr)) << name;
+    EXPECT_TRUE(perm.check()) << name;
+  }
+}
+
+TEST(ReorderOracleTest, RelabelMatchesGatherSortReference) {
+  for (const auto& [name, csr] : adversarial_graphs()) {
+    std::vector<std::pair<std::string, Permutation>> perms;
+    for (const ReorderStrategy strategy : kStrategies) {
+      perms.emplace_back(to_string(strategy),
+                         make_permutation(csr, strategy));
+    }
+    perms.emplace_back("random", random_permutation(csr.num_vertices, 41));
+    for (const auto& [perm_name, perm] : perms) {
+      const Csr relabeled = relabel(csr, perm);
+      const Csr expected = reference_relabel(csr, perm);
+      EXPECT_EQ(relabeled.num_vertices, expected.num_vertices);
+      EXPECT_EQ(relabeled.row_offsets, expected.row_offsets)
+          << name << "/" << perm_name;
+      EXPECT_EQ(relabeled.col_indices, expected.col_indices)
+          << name << "/" << perm_name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
