@@ -48,6 +48,9 @@ Coloring gm_speculative_color(const graph::Csr& csr,
   gr::Frontier active = gr::Frontier::all(n);
   std::atomic<std::int64_t> conflicts_total{0};
   std::int64_t prev_conflicts = 0;
+  // Set by conflict detection, cleared by the filter as its vertex retries,
+  // so every flag is zero again at the start of each round.
+  std::vector<std::uint8_t> conflicted(un, 0);
 
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
@@ -79,7 +82,6 @@ Coloring gm_speculative_color(const graph::Csr& csr,
     // Phase 2: conflict detection — the higher-ORIGINAL-id endpoint of
     // every monochromatic edge returns to the active set, so the retry
     // choice does not depend on the registry's relabeling.
-    std::vector<std::uint8_t> conflicted(un, 0);
     gr::compute(device, active, [&](vid_t v) {
       const std::int32_t cv = colors[static_cast<std::size_t>(v)];
       for (const vid_t u : csr.neighbors(v)) {
@@ -95,6 +97,7 @@ Coloring gm_speculative_color(const graph::Csr& csr,
     // Phase 3: uncolor conflicted vertices and retry just those.
     active = gr::filter(device, active, [&](vid_t v) {
       if (conflicted[static_cast<std::size_t>(v)] != 0) {
+        conflicted[static_cast<std::size_t>(v)] = 0;
         colors[static_cast<std::size_t>(v)] = kUncolored;
         return true;
       }

@@ -3,13 +3,12 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "core/result.hpp"
 #include "graphblas/grb.hpp"
 #include "sim/device.hpp"
 #include "sim/rng.hpp"
-#include "sim/scratch.hpp"
-#include "sim/slot_range.hpp"
 
 namespace gcol::color::detail {
 
@@ -47,61 +46,27 @@ inline grb::Info set_random_weights(grb::Vector<Weight>& weight,
       weight);
 }
 
-/// Collapses a vector to exact 0/1 values in place. The GT comparisons of
-/// Algorithms 2-3 can leave raw weights at union-only positions; the paper's
-/// subsequent Plus-reduce "succ" test only needs emptiness, but booleanizing
-/// keeps the reduction overflow-free and the masks crisp.
-template <typename T>
-grb::Info booleanize(grb::Vector<T>& v) {
-  return grb::apply(
-      v, nullptr, [](T x) { return static_cast<T>(x != T{0} ? 1 : 0); }, v);
-}
-
-/// Mirrors a dense or bitmap mask vector into `active` bytes (value
-/// semantics: byte set where an entry exists and is nonzero) and returns the
-/// set-byte count — the round's "succ" test. This one launch stands in for
-/// a grb::reduce and feeds assign_active, which reads `active` as its value
-/// mask. The count equals the Plus-reduce of a booleanized mask exactly.
-/// `v` must not be sparse; the round masks never are, since every GraphBLAS
-/// op leaves dense or bitmap storage (dense_values() asserts it in debug
-/// builds).
-inline std::int64_t mirror_count(sim::Device& device, const char* name,
-                                 const grb::Vector<Weight>& v,
-                                 std::span<std::uint8_t> active) {
-  const std::span<const Weight> values = v.dense_values();
-  const std::span<const std::uint8_t> present =
-      v.is_bitmap() ? v.bitmap_present() : std::span<const std::uint8_t>{};
-  const auto n = static_cast<std::int64_t>(values.size());
-  const std::span<std::int64_t> partials =
-      device.scratch().get<std::int64_t>(sim::ScratchLane::kPartials,
-                                         device.num_workers());
-  device.launch_slots(
-      name,
-      [&](unsigned slot, unsigned num_slots) {
-        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
-        std::int64_t local = 0;
-        for (std::int64_t i = begin; i < end; ++i) {
-          const auto ui = static_cast<std::size_t>(i);
-          const bool set = (present.empty() || present[ui] != 0) &&
-                           values[ui] != Weight{0};
-          active[ui] = set ? 1 : 0;
-          local += set ? 1 : 0;
-        }
-        partials[slot] = local;
+/// Mirrors a frontier (a Vector or a deferred chain, run whole in this one
+/// launch) into dense `active` bytes, set where an entry is nonzero, and
+/// returns their count: the round's "succ", equal to the Plus-reduce of the
+/// booleanized frontier. `active` is the round's only materialized vector.
+template <typename Frontier>
+std::int64_t mirror_count(sim::Device& device, const char* name,
+                          Frontier&& frontier,
+                          grb::Vector<std::uint8_t>& active) {
+  if (!active.is_dense()) active.fill(0);
+  const grb::detail::operand_t<Frontier> expr(std::forward<Frontier>(frontier));
+  std::uint8_t* const out = active.dense_values().data();
+  return grb::detail::count_positions(
+      device, name, active.size(),
+      [out, &expr](grb::Index i) {
+        grb::detail::value_of<decltype(expr)> value{};
+        const bool set = expr.at(i, value) && value != 0;
+        out[i] = set ? 1 : 0;
+        return set;
       },
-      nullptr,
-      [n, bitmap = !present.empty()](unsigned slot, unsigned num_slots) {
-        const auto [begin, end] = sim::slot_range(slot, num_slots, n);
-        // Per position: the value gather (plus the present byte for bitmap
-        // storage) and the mirrored byte store; one partial per slot.
-        return sim::Traffic{
-            (end - begin) * (static_cast<std::int64_t>(sizeof(Weight)) +
-                             (bitmap ? 1 : 0)),
-            (end - begin) + static_cast<std::int64_t>(sizeof(std::int64_t))};
-      });
-  std::int64_t total = 0;
-  for (const std::int64_t partial : partials) total += partial;
-  return total;
+      // Per position: the frontier's own reads and the mirrored byte.
+      expr.traffic() + sim::Traffic{0, 1});
 }
 
 /// The fused round tail: runs `store(i)` at every position mirror_count set
@@ -112,12 +77,13 @@ inline std::int64_t mirror_count(sim::Device& device, const char* name,
 /// dense_values() each round.
 template <typename Store>
 void assign_active(sim::Device& device, const char* name,
-                   std::span<const std::uint8_t> active, Store&& store) {
+                   const grb::Vector<std::uint8_t>& active, Store&& store) {
+  const std::span<const std::uint8_t> mask = active.dense_values();
   device.launch(
-      name, static_cast<std::int64_t>(active.size()),
+      name, active.size(),
       [&](std::int64_t i) {
         const auto ui = static_cast<std::size_t>(i);
-        if (active[ui] != 0) store(ui);
+        if (mask[ui] != 0) store(ui);
       },
       sim::Schedule::kStatic, 0, nullptr,
       // Per position: the mask byte; the masked stores are data-dependent

@@ -1,7 +1,6 @@
 #include "core/grb_is.hpp"
 
 #include <span>
-#include <vector>
 
 #include "core/grb_common.hpp"
 #include "core/verify.hpp"
@@ -25,8 +24,8 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
   const grb::Matrix<Weight> a(csr);
   grb::Vector<std::int32_t> c(n);
   grb::Vector<Weight> weight(n);
-  grb::Vector<Weight> max(n);
-  grb::Vector<Weight> frontier(n);
+  // The round's only materialized vector: the frontier, one byte per vertex.
+  grb::Vector<std::uint8_t> active(n);
 
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
@@ -35,27 +34,20 @@ Coloring grb_is_color(const graph::Csr& csr, const GrbIsOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // Fused round tail: mirror_count doubles as the succ reduction and
-  // assign_active replaces the two masked assigns, so the tail takes two
-  // launches. c and weight are dense throughout; the frontier is dense or
-  // bitmap, as every GraphBLAS op's store leaves it.
-  std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
-
   std::int64_t colored_total = 0;
   for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
     const obs::ScopedPhase phase("grb_is::round");
     // Find max of neighbors (l.8), only for uncolored rows: weight is the
-    // value mask, so colored rows keep a stale max that the GT below turns
-    // into 0 exactly as a fresh one would (their weight is 0).
-    grb::vxm(max, &weight, grb::max_times_semiring<Weight>(), weight, a);
+    // value mask, and a masked-out row has no entry.
+    const auto nbr_max = grb::deferred::vxm(
+        &weight, grb::max_times_semiring<Weight>(), weight, a);
     // Find all largest uncolored nodes (l.9); union semantics make
     // neighborless candidates (missing max entry) members automatically.
-    grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);
-    detail::booleanize(frontier);
-    // Stop when the frontier is empty (l.11-15). The plus-reduce over the
-    // 0/1 frontier doubles as the independent-set size for the metrics.
-    const std::int64_t succ =
-        detail::mirror_count(device, "grb_is::sync_frontier", frontier, active);
+    // Both run in mirror_count's one launch, whose count is the plus-reduce
+    // that ends the loop on an empty frontier (l.11-15) and sizes the set.
+    const std::int64_t succ = detail::mirror_count(
+        device, "grb_is::select_frontier",
+        grb::deferred::eWiseAdd(grb::Greater{}, weight, nbr_max), active);
     if (succ == 0) break;
     result.metrics.push("frontier", n - colored_total);
     colored_total += succ;

@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "core/grb_common.hpp"
 #include "core/palette.hpp"
@@ -55,12 +54,12 @@ struct PureScratch {
 /// (0 = uncolored).
 std::int32_t jp_min_color_pure(const grb::Matrix<Weight>& a,
                                const grb::Vector<std::int32_t>& c,
-                               const grb::Vector<Weight>& frontier,
+                               const grb::Vector<std::uint8_t>& active,
                                PureScratch& s) {
   // Find the frontier's COLORED neighbors: Boolean vxm masked by the color
   // vector (value mask: nonzero == colored), Alg. 4 l.3.
   s.nbr.clear();
-  grb::vxm(s.nbr, &c, grb::boolean_semiring<Weight>(), frontier, a);
+  grb::vxm(s.nbr, &c, grb::boolean_semiring<Weight>(), active, a);
   // Map the indicator to the neighbors' colors (l.5).
   s.used.clear();
   grb::eWiseMult(s.used, nullptr, grb::Times{}, s.nbr, c);
@@ -155,7 +154,8 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
   const grb::Matrix<Weight> a(csr);
   grb::Vector<std::int32_t> c(n);
-  grb::Vector<Weight> weight(n), max(n), frontier(n);
+  grb::Vector<Weight> weight(n);
+  grb::Vector<std::uint8_t> active(n);  // the round's frontier, as in grb_is
 
   std::optional<PureScratch> pure;
   if (!options.bit_packed_palette) pure.emplace(n);
@@ -166,27 +166,24 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // Fused round tail, as in grb_is: mirror_count doubles as the succ
-  // reduction and assign_active replaces the two masked assigns.
-  std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
-
   std::int64_t colored_total = 0;
   std::int32_t max_color = 0;
   for (std::int32_t round = 1; round <= options.max_iterations; ++round) {
     const obs::ScopedPhase phase("grb_jpl::round");
-    // Select the independent set exactly as Algorithm 2 does (neighbor max
-    // masked to uncolored rows, as in grb_is).
-    grb::vxm(max, &weight, grb::max_times_semiring<Weight>(), weight, a);
-    grb::eWiseAdd(frontier, nullptr, grb::Greater{}, weight, max);
-    detail::booleanize(frontier);
+    // Select the independent set exactly as Algorithm 2 does, in one
+    // launch (see grb_is).
+    const auto nbr_max = grb::deferred::vxm(
+        &weight, grb::max_times_semiring<Weight>(), weight, a);
     const std::int64_t succ = detail::mirror_count(
-        device, "grb_jpl::sync_frontier", frontier, active);
+        device, "grb_jpl::select_frontier",
+        grb::deferred::eWiseAdd(grb::Greater{}, weight, nbr_max), active);
     if (succ == 0) break;
     // GRAPHBLASJPINNER replaces the fresh color with the minimum available.
     const std::int32_t min_color =
         options.bit_packed_palette
-            ? jp_min_color_fused(device, csr, c, active, max_color)
-            : jp_min_color_pure(a, c, frontier, *pure);
+            ? jp_min_color_fused(device, csr, c, active.dense_values(),
+                                 max_color)
+            : jp_min_color_pure(a, c, active, *pure);
     const std::span<std::int32_t> cv = c.dense_values();
     const std::span<Weight> wv = weight.dense_values();
     detail::assign_active(device, "grb_jpl::assign_colors", active,

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/grb_common.hpp"
 #include "core/verify.hpp"
@@ -16,31 +15,27 @@ namespace {
 
 using detail::Weight;
 
-constexpr grb::Descriptor kReplace{.replace = true};
-
 /// Algorithm 3 inner loop: grows `mis` to a maximal independent set of the
 /// subgraph induced by cand's nonzero entries. `cand` is consumed. Each
-/// masked update is the fused tail: mirror_count of the frontier (or
-/// neighbor set) into `active`, then one in-place assign_active launch.
-/// mis and cand are dense throughout (filled, copied, then updated in place).
+/// step is two fused tails (a deferred chain mirrored into bytes, then an
+/// in-place assign_active); the knock-out vxm reads `active`, so it mirrors
+/// into `knocked`. mis and cand are dense (filled, copied, updated in place).
 void mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
                grb::Vector<Weight>& cand, grb::Vector<Weight>& mis,
-               grb::Vector<Weight>& max, grb::Vector<Weight>& frontier,
-               grb::Vector<Weight>& nbr, std::span<std::uint8_t> active) {
+               grb::Vector<std::uint8_t>& active,
+               grb::Vector<std::uint8_t>& knocked) {
   grb::assign(mis, nullptr, Weight{0});
   for (;;) {
     // Find max of remaining candidates' neighbors, masked to candidates
-    // (Alg. 3 l.6). Replace drops the stale entries of the previous round
-    // at positions the mask blocks.
-    grb::vxm(max, &cand, grb::max_times_semiring<Weight>(), cand, a,
-             kReplace);
-    // New members: candidates beating all candidate neighbors (l.8).
-    grb::eWiseAdd(frontier, nullptr, grb::Greater{}, cand, max);
-    detail::booleanize(frontier);
-    // Stop when no new members joined (l.14-17); add members to the set and
-    // drop them from the candidates otherwise (l.10-12).
-    if (detail::mirror_count(device, "grb_mis::sync_frontier", frontier,
-                             active) == 0) {
+    // (Alg. 3 l.6); new members are candidates beating all candidate
+    // neighbors (l.8). Stop when none joined (l.14-17); add members to the
+    // set and drop them from the candidates otherwise (l.10-12).
+    const auto nbr_max = grb::deferred::vxm(
+        &cand, grb::max_times_semiring<Weight>(), cand, a);
+    if (detail::mirror_count(
+            device, "grb_mis::select_frontier",
+            grb::deferred::eWiseAdd(grb::Greater{}, cand, nbr_max),
+            active) == 0) {
       return;
     }
     const std::span<Weight> mv = mis.dense_values();
@@ -50,11 +45,14 @@ void mis_inner(sim::Device& device, const grb::Matrix<Weight>& a,
                             mv[i] = Weight{1};
                             cv[i] = Weight{0};
                           });
-    // Remove the new members' neighbors from the candidates (l.19-20).
-    grb::vxm(nbr, &cand, grb::boolean_semiring<Weight>(), frontier, a,
-             kReplace);
-    if (detail::mirror_count(device, "grb_mis::sync_nbr", nbr, active) > 0) {
-      detail::assign_active(device, "grb_mis::knockout_nbrs", active,
+    // Remove the new members' neighbors from the candidates (l.19-20); the
+    // LOR row reduction stops at the first member neighbor.
+    if (detail::mirror_count(
+            device, "grb_mis::find_nbrs",
+            grb::deferred::vxm(&cand, grb::boolean_semiring<Weight>(), active,
+                               a),
+            knocked) > 0) {
+      detail::assign_active(device, "grb_mis::knockout_nbrs", knocked,
                             [&](std::size_t i) { cv[i] = Weight{0}; });
     }
   }
@@ -74,7 +72,10 @@ Coloring grb_mis_color(const graph::Csr& csr, const GrbMisOptions& options) {
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
   const grb::Matrix<Weight> a(csr);
   grb::Vector<std::int32_t> c(n);
-  grb::Vector<Weight> weight(n), cand(n), mis(n), max(n), frontier(n), nbr(n);
+  grb::Vector<Weight> weight(n), cand(n), mis(n);
+  // One frontier mirror serves every fused tail but the knock-out's: each
+  // is consumed by its assign_active before the next mirror_count.
+  grb::Vector<std::uint8_t> active(n), knocked(n);
 
   const sim::Stopwatch watch;
   const std::uint64_t launches_before = device.launch_count();
@@ -82,17 +83,13 @@ Coloring grb_mis_color(const graph::Csr& csr, const GrbMisOptions& options) {
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
-  // One mask mirror serves every fused tail: each is consumed by its
-  // assign_active before the next mirror_count overwrites it.
-  std::vector<std::uint8_t> active(static_cast<std::size_t>(n), 0);
-
   std::int64_t colored_total = 0;
   for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
     const obs::ScopedPhase phase("grb_mis::round");
     // Inner loop operates on a copy: knocked-out neighbors must stay
     // colorable in later outer rounds.
     cand = weight;
-    mis_inner(device, a, cand, mis, max, frontier, nbr, active);
+    mis_inner(device, a, cand, mis, active, knocked);
     // The MIS is empty only when no uncolored vertices remain. Summing the
     // 0/1 set vector gives the emptiness test and the set size in one pass.
     const std::int64_t size =

@@ -1,12 +1,13 @@
 #pragma once
 // Binary operators, monoids and generalized semirings — the algebra layer of
 // the GraphBLAS abstraction (§III-A3 of the paper). The coloring algorithms
-// use the predefined semirings proposal [Mattson et al., HPEC 2017]:
-// MaxTimes for "largest-weighted neighbor", Boolean (LorLand) for
-// reachability-style traversals, MinPlus for minimum-color search.
+// use two of the predefined semirings proposal [Mattson et al., HPEC 2017]:
+// MaxTimes for "largest-weighted neighbor" and Boolean (LorLand) for
+// reachability-style traversals.
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 namespace gcol::grb {
 
@@ -40,35 +41,12 @@ struct Max {
   }
 };
 
-/// GrB_FIRST: returns the left operand (useful as a "pattern" multiply).
-struct First {
-  template <typename T>
-  constexpr T operator()(T a, T) const noexcept {
-    return a;
-  }
-};
-
-/// GrB_SECOND: returns the right operand.
-struct Second {
-  template <typename T>
-  constexpr T operator()(T, T b) const noexcept {
-    return b;
-  }
-};
-
 /// GrB_GT: the paper's GrB_INT32GT — 1 when a > b, else 0. Result is in the
 /// operand domain so it composes with integer vectors.
 struct Greater {
   template <typename T>
   constexpr T operator()(T a, T b) const noexcept {
     return static_cast<T>(a > b ? 1 : 0);
-  }
-};
-
-struct Less {
-  template <typename T>
-  constexpr T operator()(T a, T b) const noexcept {
-    return static_cast<T>(a < b ? 1 : 0);
   }
 };
 
@@ -88,11 +66,14 @@ struct LogicalAnd {
 
 // ---- monoids ------------------------------------------------------------
 
-/// A commutative monoid: associative binary op plus its identity in T.
+/// A commutative monoid: associative binary op plus its identity in T and,
+/// optionally, its terminal (absorbing) value, as SuiteSparse:GraphBLAS
+/// declares one: a reduction that reaches it may stop.
 template <typename Op, typename T>
 struct Monoid {
   Op op{};
   T identity{};
+  std::optional<T> terminal{};
 
   constexpr T operator()(T a, T b) const noexcept { return op(a, b); }
 };
@@ -114,7 +95,7 @@ constexpr Monoid<Min, T> min_monoid() noexcept {
 
 template <typename T>
 constexpr Monoid<LogicalOr, T> lor_monoid() noexcept {
-  return {LogicalOr{}, T{0}};
+  return {LogicalOr{}, T{0}, T{1}};
 }
 
 // ---- semirings ------------------------------------------------------------
@@ -134,30 +115,11 @@ constexpr Semiring<Monoid<Max, T>, Times> max_times_semiring() noexcept {
   return {max_monoid<T>(), Times{}};
 }
 
-/// Standard arithmetic (+, x).
-template <typename T>
-constexpr Semiring<Monoid<Plus, T>, Times> plus_times_semiring() noexcept {
-  return {plus_monoid<T>(), Times{}};
-}
-
-/// Tropical (min, +) — minimum-color search in Algorithm 4.
-template <typename T>
-constexpr Semiring<Monoid<Min, T>, Plus> min_plus_semiring() noexcept {
-  return {min_monoid<T>(), Plus{}};
-}
-
 /// GrB_Boolean of the paper: (or, and) — pure reachability.
 template <typename T>
 constexpr Semiring<Monoid<LogicalOr, T>, LogicalAnd>
 boolean_semiring() noexcept {
   return {lor_monoid<T>(), LogicalAnd{}};
-}
-
-/// (max, second): each vertex's maximum neighbor value where the "matrix
-/// value" is the vector operand — handy for pattern-matrix traversals.
-template <typename T>
-constexpr Semiring<Monoid<Max, T>, First> max_first_semiring() noexcept {
-  return {max_monoid<T>(), First{}};
 }
 
 }  // namespace gcol::grb

@@ -2,14 +2,15 @@
 // The GraphBLAS operations used by the paper's Algorithms 2–4, plus the
 // GxB_scatter extension the paper introduces for Jones-Plassmann (§IV-A3).
 //
-// Execution model: every operation that writes a vector stores through
-// detail::store — ONE slotted virtual-GPU launch that, at each position i,
-// computes the operation's entry, merges it under mask/replace semantics,
-// and writes the value and presence byte straight into the output's own
-// (reused) buffers while counting the entries:
+// Execution model: every operation is an *expression* — `at(i, out)` gives
+// its presence and value at position i — and every operation that writes a
+// vector stores its expression through detail::store: ONE slotted
+// virtual-GPU launch that, at each position i, evaluates the entry, merges
+// it under mask/replace semantics, and writes the value and presence byte
+// straight into the output's own (reused) buffers while counting entries:
 //
-//   writes(i) = mask allows i && the operation produces an entry at i
-//   final(i)  = writes(i) ? produced value : (replace ? none : old w[i])
+//   writes(i) = mask allows i && the expression has an entry at i
+//   final(i)  = writes(i) ? its value : (replace ? none : old w[i])
 //
 // which is the library's masked-assignment rule. The entry is only computed
 // where the mask allows it, so masking "avoids many memory accesses" (paper
@@ -18,13 +19,18 @@
 // (iterate sparse input, scatter with atomics into a scratch accumulator,
 // then store) and pull (store gathers each allowed row) traversals with
 // GraphBLAST's direction-optimizing heuristic [Yang et al., ICPP 2018].
+// A deferred op (namespace deferred) hands its expression to a consumer
+// instead, as the C API's nonblocking mode permits: a chain of them runs in
+// the consumer's one launch and materializes nothing in between.
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graphblas/descriptor.hpp"
@@ -51,10 +57,21 @@ namespace detail {
 /// O(1)-lookup view of a vector: dense vectors are viewed in place; sparse
 /// vectors are scattered once into scratch (values + presence) so element
 /// probes inside O(n)/O(m) loops never pay a binary search. This mirrors
-/// GraphBLAST's densify-before-dense-op strategy.
+/// GraphBLAST's densify-before-dense-op strategy. It is also the leaf of
+/// every expression (see "expressions" below).
 template <typename T>
 class DenseView {
  public:
+  using value_type = T;
+
+  explicit DenseView(const Vector<T>& v)
+      : DenseView(v, sim::Device::instance()) {}
+  /// Values and presence bytes held elsewhere (push vxm's accumulator).
+  DenseView(std::span<const T> values, std::span<const std::uint8_t> present)
+      : values_(values), present_(present) {}
+  // Move-only: a sparse vector's view spans its own scratch.
+  DenseView(DenseView&&) noexcept = default;
+
   DenseView(const Vector<T>& v, sim::Device& device) {
     switch (v.storage()) {
       case Storage::kDense:
@@ -88,13 +105,16 @@ class DenseView {
     present_ = scratch_present_;
   }
 
-  [[nodiscard]] bool has(Index i) const noexcept {
-    return present_.empty() || present_[static_cast<std::size_t>(i)] != 0;
+  /// Whether i holds an entry, and its value into `out` if so.
+  bool at(Index i, T& out) const noexcept {
+    const auto ui = static_cast<std::size_t>(i);
+    if (!present_.empty() && present_[ui] == 0) return false;
+    out = values_[ui];
+    return true;
   }
-
-  /// Value at i; meaningful only when has(i).
-  [[nodiscard]] T operator[](Index i) const noexcept {
-    return values_[static_cast<std::size_t>(i)];
+  [[nodiscard]] sim::Traffic traffic() const noexcept {
+    return {static_cast<std::int64_t>(sizeof(T)) + (present_.empty() ? 0 : 1),
+            0};
   }
 
  private:
@@ -161,8 +181,8 @@ class FastMaskView {
   [[nodiscard]] bool allows(Index i) const noexcept {
     // No mask: everything writable; complementing "all" blocks everything.
     if (!view_.has_value()) return !complement_;
-    const bool set =
-        view_->has(i) && (structure_ || (*view_)[i] != M{0});
+    M value{};
+    const bool set = view_->at(i, value) && (structure_ || value != M{0});
     return complement_ ? !set : set;
   }
 
@@ -172,22 +192,16 @@ class FastMaskView {
   bool complement_;
 };
 
-/// The one store of every vector-writing op: a single slotted launch in
-/// which each position runs `produce(i, value)` (returns whether the op has
-/// an entry at i) only where the mask allows, applies the replace/keep-old
-/// rule, and writes value and presence byte into w's own buffers. Per-slot
-/// entry counts sum to nvals; dense storage is installed when it is n.
-/// Chunks are claimed dynamically, since pull rows differ in cost.
-/// `per_entry` is produce's modeled traffic, counted only without a mask
-/// (a masked position may skip it); the presence byte is the floor.
-template <typename W, typename M, typename Produce>
-void store(sim::Device& device, const char* name, Vector<W>& w,
-           const FastMaskView<M>& mask, bool replace, Produce&& produce,
-           sim::Traffic per_entry) {
-  const Index n = w.size();
-  const auto out = w.store_slots(/*keep=*/!replace);
+/// One slotted launch over positions [0, n), claimed in dynamic chunks since
+/// pull rows differ in cost: `visit(i)` returns whether i counts, and the
+/// per-slot counts sum to the result. `per_position` is one visit's modeled
+/// traffic; each slot also writes its two tallies.
+template <typename Visit>
+std::int64_t count_positions(sim::Device& device, const char* name,
+                             std::int64_t n, const Visit& visit,
+                             sim::Traffic per_position) {
   const unsigned workers = device.num_workers();
-  // Per slot: its entry count, then the number of positions it claimed.
+  // Per slot: its count, then the number of positions it claimed.
   const std::span<std::int64_t> tallies = device.scratch().get<std::int64_t>(
       sim::ScratchLane::kPartials, 2 * static_cast<std::size_t>(workers));
   const std::int64_t chunk =
@@ -197,43 +211,211 @@ void store(sim::Device& device, const char* name, Vector<W>& w,
   device.launch_slots(
       name,
       [&](unsigned slot, unsigned) {
-        // Locals, so the presence-byte stores cannot alias them.
-        W* const values = out.values.data();
-        std::uint8_t* const present = out.present.data();
-        const bool unmasked = mask.trivial();
-        const bool keep_dense = !replace && out.dense;
-        const bool keep_bitmap = !replace && !out.dense;
-        std::int64_t kept = 0;
+        // A local copy, so the visit's byte stores cannot alias its state.
+        const Visit local = visit;
+        std::int64_t counted = 0;
         std::int64_t claimed = 0;
         for (std::int64_t begin = next.fetch_add(chunk, kRelaxed); begin < n;
              begin = next.fetch_add(chunk, kRelaxed)) {
           const std::int64_t end = std::min(begin + chunk, n);
           for (std::int64_t i = begin; i < end; ++i) {
-            W value{};
-            const bool writes =
-                (unmasked || mask.allows(i)) && produce(i, value);
-            if (writes) values[i] = value;
-            const bool has =
-                writes || keep_dense || (keep_bitmap && present[i] != 0);
-            present[i] = has ? 1 : 0;
-            kept += has ? 1 : 0;
+            counted += local(i) ? 1 : 0;
           }
           claimed += end - begin;
         }
-        tallies[slot] = kept;
+        tallies[slot] = counted;
         tallies[workers + slot] = claimed;
       },
       nullptr,
       [&](unsigned slot, unsigned) {
-        const sim::Traffic entry =
-            sim::Traffic{0, 1} + (mask.trivial() ? per_entry : sim::Traffic{});
-        return entry * tallies[workers + slot] +
+        return per_position * tallies[workers + slot] +
                sim::Traffic{0, 2 * static_cast<std::int64_t>(sizeof(Index))};
       });
-  Index nvals = 0;
-  for (unsigned slot = 0; slot < workers; ++slot) nvals += tallies[slot];
+  std::int64_t total = 0;
+  for (unsigned slot = 0; slot < workers; ++slot) total += tallies[slot];
+  return total;
+}
+
+/// The one store of every vector-writing op: a single count_positions
+/// launch in which each position evaluates `expr` only where the mask
+/// allows, applies the replace/keep-old rule, and writes value and presence
+/// byte into w's own buffers. The entry count is nvals; dense storage is
+/// installed when it is n. The expression's traffic and the value store
+/// are counted only without a mask (a masked position may skip them); the
+/// presence byte is the floor.
+template <typename W, typename M, typename Expr>
+void store(sim::Device& device, const char* name, Vector<W>& w,
+           const FastMaskView<M>& mask, bool replace, const Expr& expr) {
+  const auto out = w.store_slots(/*keep=*/!replace);
+  W* const values = out.values.data();
+  std::uint8_t* const present = out.present.data();
+  const bool unmasked = mask.trivial();
+  const bool keep_dense = !replace && out.dense;
+  const bool keep_bitmap = !replace && !out.dense;
+  const std::int64_t nvals = count_positions(
+      device, name, w.size(),
+      [=, &mask, &expr](Index i) {
+        typename Expr::value_type value{};
+        const bool writes = (unmasked || mask.allows(i)) && expr.at(i, value);
+        if (writes) values[i] = static_cast<W>(value);
+        const bool has =
+            writes || keep_dense || (keep_bitmap && present[i] != 0);
+        present[i] = has ? 1 : 0;
+        return has;
+      },
+      sim::Traffic{0, 1} +
+          (unmasked ? expr.traffic() +
+                          sim::Traffic{0, static_cast<std::int64_t>(sizeof(W))}
+                    : sim::Traffic{}));
   w.commit_store(nvals);
 }
+
+// ---- expressions ------------------------------------------------------------
+// Each has a value_type T (the type it computes in), `at(i, out)` returning
+// whether it has an entry at i, and `traffic()`, one evaluation's modeled
+// reads. Operands are DenseViews or other expressions.
+
+template <typename E>
+using value_of = typename std::remove_cvref_t<E>::value_type;
+
+/// How a deferred op holds an operand: a vector by a DenseView, an lvalue
+/// expression by reference, an rvalue expression by value.
+template <typename E>
+struct OperandOf {
+  using type = std::conditional_t<std::is_lvalue_reference_v<E>,
+                                  const std::remove_reference_t<E>&,
+                                  std::remove_cvref_t<E>>;
+};
+template <typename T>
+struct OperandOf<Vector<T>&> {
+  using type = DenseView<T>;
+};
+template <typename T>
+struct OperandOf<const Vector<T>&> {
+  using type = DenseView<T>;
+};
+template <typename E>
+using operand_t = typename OperandOf<E>::type;
+
+/// GrB_assign's scalar, at every position.
+template <typename T>
+struct ScalarExpr {
+  using value_type = T;
+  T value;
+  bool at(Index, T& out) const noexcept {
+    out = value;
+    return true;
+  }
+  [[nodiscard]] sim::Traffic traffic() const noexcept { return {}; }
+};
+
+/// f(i, u(i)) wherever u has an entry.
+template <typename T, typename U, typename F>
+struct ApplyExpr {
+  using value_type = T;
+  U u;
+  F f;
+  bool at(Index i, T& out) const {
+    value_of<U> x{};
+    if (!u.at(i, x)) return false;
+    out = static_cast<T>(f(i, x));
+    return true;
+  }
+  [[nodiscard]] sim::Traffic traffic() const noexcept { return u.traffic(); }
+};
+
+/// u op v with eWiseAdd's UNION structure (an entry where u or v has one,
+/// op only where both do) or eWiseMult's INTERSECTION (entry only where
+/// both do; v is not evaluated where u has none).
+template <typename T, typename U, typename V, typename Op>
+struct EwiseExpr {
+  using value_type = T;
+  U u;
+  V v;
+  Op op;
+  bool union_structure;
+  bool at(Index i, T& out) const {
+    value_of<U> x{};
+    value_of<V> y{};
+    const bool has_u = u.at(i, x);
+    if (!has_u && !union_structure) return false;
+    const bool has_v = v.at(i, y);
+    if (has_u && has_v) {
+      out = static_cast<T>(op(static_cast<T>(x), static_cast<T>(y)));
+      return true;
+    }
+    if (has_u) out = static_cast<T>(x);
+    if (has_v) out = static_cast<T>(y);
+    return union_structure && (has_u || has_v);
+  }
+  [[nodiscard]] sim::Traffic traffic() const noexcept {
+    return u.traffic() + v.traffic();
+  }
+};
+
+/// A deferred eWiseAdd (union) or eWiseMult, computed in the operands'
+/// common type.
+template <typename Op, typename U, typename V>
+auto make_ewise(bool union_structure, Op op, U&& u, V&& v) {
+  using UE = operand_t<U>;
+  using VE = operand_t<V>;
+  using T = std::common_type_t<value_of<UE>, value_of<VE>>;
+  return EwiseExpr<T, UE, VE, Op>{UE(std::forward<U>(u)),
+                                  VE(std::forward<V>(v)), op,
+                                  union_structure};
+}
+
+/// Pull vxm at j: the add-monoid reduction of u(i) ⊗ A(i, j) over row j
+/// (A = Aᵀ), stopping at the monoid's terminal value. A position the mask
+/// blocks has no entry (replace semantics).
+template <typename T, typename U, typename A, typename Add, typename Mul,
+          typename M>
+struct PullExpr {
+  using value_type = T;
+  const Matrix<A>* a;
+  Semiring<Add, Mul> semiring;
+  U u;
+  FastMaskView<M> mask;
+  const eid_t* offsets = a->csr().row_offsets.data();  // one load per row
+  const vid_t* cols = a->csr().col_indices.data();
+  bool at(Index j, T& out) const {
+    if (!mask.allows(j)) return false;
+    // One row loop per case, so a monoid without a terminal value tests
+    // none per edge and a pattern's A(i, j) = 1 folds into the multiply.
+    const auto one = [](eid_t) { return A{1}; };
+    const auto value = [this](eid_t e) { return a->value_at(e); };
+    if (const auto& terminal = semiring.add.terminal) {
+      const auto stop = [t = static_cast<T>(*terminal)](T x) { return x == t; };
+      return a->is_pattern() ? reduce_row(j, out, stop, one)
+                             : reduce_row(j, out, stop, value);
+    }
+    const auto never = [](T) { return false; };
+    return a->is_pattern() ? reduce_row(j, out, never, one)
+                           : reduce_row(j, out, never, value);
+  }
+  template <typename Stop, typename Value>
+  bool reduce_row(Index j, T& out, Stop stop, Value value) const {
+    const auto row = static_cast<std::size_t>(j);
+    T acc = static_cast<T>(semiring.add.identity);
+    bool hit = false;
+    for (eid_t e = offsets[row]; e < offsets[row + 1]; ++e) {
+      value_of<U> x{};
+      if (!u.at(static_cast<Index>(cols[e]), x)) continue;
+      acc = static_cast<T>(semiring.add(
+          acc, static_cast<T>(semiring.mul(static_cast<T>(x),
+                                           static_cast<T>(value(e))))));
+      hit = true;
+      if (stop(acc)) break;
+    }
+    out = acc;
+    return hit;
+  }
+  // Per position: the row-offset pair; the row's gathers are data-dependent
+  // and excluded (structural floor).
+  [[nodiscard]] sim::Traffic traffic() const noexcept {
+    return {static_cast<std::int64_t>(2 * sizeof(eid_t)), 0};
+  }
+};
 
 }  // namespace detail
 
@@ -255,13 +437,8 @@ Info assign(Vector<W>& w, const Vector<M>* mask, T value,
     w.fill(v);
     return Info::kSuccess;
   }
-  detail::store(
-      device, "grb::assign", w, view, desc.replace,
-      [v](Index, W& out) {
-        out = v;
-        return true;
-      },
-      sim::Traffic{0, static_cast<std::int64_t>(sizeof(W))});
+  detail::store(device, "grb::assign", w, view, desc.replace,
+                detail::ScalarExpr<W>{v});
   return Info::kSuccess;
 }
 
@@ -286,17 +463,9 @@ Info apply_indexed(Vector<W>& w, const Vector<M>* mask, F f,
   }
   auto& device = sim::Device::instance();
   const detail::FastMaskView<M> view(mask, desc, device);
-  const detail::DenseView<U> uview(u, device);
-  detail::store(
-      device, "grb::apply", w, view, desc.replace,
-      [&](Index i, W& out) {
-        if (!uview.has(i)) return false;
-        out = static_cast<W>(f(i, uview[i]));
-        return true;
-      },
-      // Per position: one input gather and the output store.
-      sim::Traffic{static_cast<std::int64_t>(sizeof(U)),
-                   static_cast<std::int64_t>(sizeof(W))});
+  detail::store(device, "grb::apply", w, view, desc.replace,
+                detail::ApplyExpr<W, detail::DenseView<U>, F>{
+                    detail::DenseView<U>(u, device), f});
   return Info::kSuccess;
 }
 
@@ -340,27 +509,10 @@ Info ewise(const char* name, bool union_structure, Vector<W>& w,
   }
   auto& device = sim::Device::instance();
   const FastMaskView<M> view(mask, desc, device);
-  const DenseView<U> uview(u, device);
-  const DenseView<V> vview(v, device);
-  store(
-      device, name, w, view, desc.replace,
-      [&](Index i, W& out) {
-        const bool has_u = uview.has(i);
-        const bool has_v = vview.has(i);
-        if (has_u && has_v) {
-          out = static_cast<W>(
-              op(static_cast<W>(uview[i]), static_cast<W>(vview[i])));
-          return true;
-        }
-        if (!union_structure) return false;
-        if (has_u) out = static_cast<W>(uview[i]);
-        if (has_v) out = static_cast<W>(vview[i]);
-        return has_u || has_v;
-      },
-      // Per position, modeling the both-present path: both value gathers
-      // and the output store.
-      sim::Traffic{static_cast<std::int64_t>(sizeof(U) + sizeof(V)),
-                   static_cast<std::int64_t>(sizeof(W))});
+  store(device, name, w, view, desc.replace,
+        EwiseExpr<W, DenseView<U>, DenseView<V>, Op>{
+            DenseView<U>(u, device), DenseView<V>(v, device), op,
+            union_structure});
   return Info::kSuccess;
 }
 
@@ -451,30 +603,13 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
     if (static_cast<const void*>(&u) == static_cast<const void*>(&w)) {
       snapshot.emplace(u);
     }
-    const detail::DenseView<U> uview(snapshot ? *snapshot : u, device);
-    detail::store(
-        device, "grb::vxm_pull", w, view, desc.replace,
-        [&](Index j, W& out) {
-          const auto row = static_cast<std::size_t>(j);
-          W acc = identity;
-          bool hit = false;
-          for (eid_t e = csr.row_offsets[row]; e < csr.row_offsets[row + 1];
-               ++e) {
-            const auto i = static_cast<Index>(
-                csr.col_indices[static_cast<std::size_t>(e)]);
-            if (!uview.has(i)) continue;
-            acc = static_cast<W>(semiring.add(
-                acc, static_cast<W>(semiring.mul(
-                         static_cast<W>(uview[i]),
-                         static_cast<W>(a.value_at(e))))));
-            hit = true;
-          }
-          out = acc;
-          return hit;
-        },
-        // Per position: the row-offset pair; the row's gathers are
-        // data-dependent and excluded (structural floor).
-        sim::Traffic{static_cast<std::int64_t>(2 * sizeof(eid_t)), 0});
+    // The store applies the mask; the expression's own is empty.
+    detail::store(device, "grb::vxm_pull", w, view, desc.replace,
+                  detail::PullExpr<W, detail::DenseView<U>, A, AddMonoid,
+                                   MulOp, M>{
+                      &a, semiring,
+                      detail::DenseView<U>(snapshot ? *snapshot : u, device),
+                      detail::FastMaskView<M>(nullptr, kDefaultDesc, device)});
     return Info::kSuccess;
   }
 
@@ -576,16 +711,8 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
         "grb::vxm_push");
   }
 
-  detail::store(
-      device, "grb::vxm_merge", w, view, desc.replace,
-      [&](Index j, W& out) {
-        const auto uj = static_cast<std::size_t>(j);
-        out = acc[uj];
-        return hit[uj] != 0;
-      },
-      // Per position: the accumulator's hit byte and value, then the store.
-      sim::Traffic{1 + static_cast<std::int64_t>(sizeof(W)),
-                   static_cast<std::int64_t>(sizeof(W))});
+  detail::store(device, "grb::vxm_merge", w, view, desc.replace,
+                detail::DenseView<W>(acc, hit));
   return Info::kSuccess;
 }
 
@@ -617,6 +744,65 @@ Info mxv(Vector<W>& w, std::nullptr_t, Semiring<AddMonoid, MulOp> semiring,
          const Descriptor& desc = kDefaultDesc) {
   return vxm(w, static_cast<const Vector<W>*>(nullptr), semiring, u, a, desc);
 }
+
+// ---- Deferred ops ---------------------------------------------------------
+
+/// w<mask> = expr: materializes a deferred expression under the mask and
+/// replace rules every op stores by, in one launch for the whole chain. No
+/// deferred vxm inside expr may read w (its rows would see new entries).
+template <typename W, typename M, typename E>
+Info store(Vector<W>& w, const Vector<M>* mask, const E& expr,
+           const Descriptor& desc = kDefaultDesc) {
+  if (mask != nullptr && mask->size() != w.size()) {
+    return Info::kDimensionMismatch;
+  }
+  auto& device = sim::Device::instance();
+  detail::store(device, "grb::store", w,
+                detail::FastMaskView<M>(mask, desc, device), desc.replace,
+                expr);
+  return Info::kSuccess;
+}
+
+/// Ops that return their expression over vectors or other expressions, for a
+/// consumer to evaluate per position. Operands must outlive it; sizes agree.
+namespace deferred {
+
+/// u ⊕.⊗ A, always pulled, with replace semantics: a position the mask
+/// blocks has no entry. Computed in the add monoid's type.
+template <typename M, typename Add, typename Mul, typename U, typename A>
+auto vxm(const Vector<M>* mask, Semiring<Add, Mul> semiring, U&& u,
+         const Matrix<A>& a, const Descriptor& desc = kDefaultDesc) {
+  assert(desc.vxm_mode != VxmMode::kPush);
+  using T = decltype(semiring.add.identity);
+  using UE = detail::operand_t<U>;
+  return detail::PullExpr<T, UE, A, Add, Mul, M>{
+      &a, semiring, UE(std::forward<U>(u)),
+      detail::FastMaskView<M>(mask, desc, sim::Device::instance())};
+}
+
+/// u op v with union structure (see grb::eWiseAdd).
+template <typename Op, typename U, typename V>
+auto eWiseAdd(Op op, U&& u, V&& v) {
+  return detail::make_ewise(true, op, std::forward<U>(u), std::forward<V>(v));
+}
+
+/// u op v with intersection structure (see grb::eWiseMult).
+template <typename Op, typename U, typename V>
+auto eWiseMult(Op op, U&& u, V&& v) {
+  return detail::make_ewise(false, op, std::forward<U>(u), std::forward<V>(v));
+}
+
+/// f(u) over u's entries.
+template <typename F, typename U>
+auto apply(F f, U&& u) {
+  using UE = detail::operand_t<U>;
+  using X = detail::value_of<UE>;
+  const auto g = [f](Index, X x) { return f(x); };
+  return detail::ApplyExpr<std::remove_cvref_t<std::invoke_result_t<F, X>>,
+                           UE, decltype(g)>{UE(std::forward<U>(u)), g};
+}
+
+}  // namespace deferred
 
 // ---- GrB_reduce ---------------------------------------------------------------
 

@@ -2,16 +2,20 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "../testing/fixtures.hpp"
 #include "core/greedy.hpp"
+#include "core/grb_common.hpp"
 #include "core/grb_is.hpp"
 #include "core/grb_jpl.hpp"
 #include "core/grb_mis.hpp"
 #include "core/verify.hpp"
 #include "graph/generators/erdos_renyi.hpp"
+#include "graph/generators/mesh.hpp"
 #include "graph/generators/rgg.hpp"
-#include "obs/metrics.hpp"
+#include "graph/generators/rmat.hpp"
+#include "sim/stream.hpp"
 
 namespace gcol::color {
 namespace {
@@ -151,73 +155,167 @@ TEST(GrbJpl, BipartiteStaysCheap) {
   EXPECT_LE(result.num_colors, 4);
 }
 
-// ---- Fused round tail (all three GraphBLAS algorithms) ----------------------
+// ---- Serial oracles of Algorithms 2-4 --------------------------------------
 
-/// Launch counts of the unfused tail (reduce pair + two write_back/count_if
-/// assign pairs per round) on the graph below, measured before the fused
-/// tail became the default. The fused tail must come in strictly under.
-constexpr std::uint64_t kUnfusedIs = 179;
-constexpr std::uint64_t kUnfusedJpl = 192;
-constexpr std::uint64_t kUnfusedMis = 489;
+/// Host-only replays of the three GraphBLAS algorithms from the same
+/// set_random_weights draws. A vertex joins a round's independent set when
+/// it is a candidate and its weight beats every neighbor's (colored or
+/// knocked-out neighbors weigh 0), so a neighborless candidate always joins.
+struct SerialGrb {
+  const graph::Csr& csr;
+  std::vector<detail::Weight> weight;
+  std::vector<std::int32_t> paper;  // 1-based, 0 = uncolored
+  Coloring result;
+  std::int64_t inner_steps = 0;  // Algorithm 3's inner rounds
 
-struct UnfusedLaunches {
-  const char* name;
-  Coloring (*run)(const graph::Csr&);
-  std::uint64_t launches;
+  explicit SerialGrb(const graph::Csr& g)
+      : csr(g), paper(static_cast<std::size_t>(g.num_vertices), 0) {
+    grb::Vector<detail::Weight> drawn(g.num_vertices);
+    detail::set_random_weights(drawn, Options{});
+    if (g.num_vertices > 0) {
+      const auto values = drawn.dense_values();
+      weight.assign(values.begin(), values.end());
+    }
+  }
+
+  /// Local maxima among the nonzero entries of `w`.
+  std::vector<vid_t> select(const std::vector<detail::Weight>& w) const {
+    std::vector<vid_t> set;
+    for (vid_t v = 0; v < csr.num_vertices; ++v) {
+      const detail::Weight wv = w[static_cast<std::size_t>(v)];
+      bool beats_all = wv != 0;
+      for (const vid_t u : csr.neighbors(v)) {
+        beats_all = beats_all && wv > w[static_cast<std::size_t>(u)];
+      }
+      if (beats_all) set.push_back(v);
+    }
+    return set;
+  }
+
+  /// Smallest color >= 1 no colored neighbor of `set` holds.
+  std::int32_t min_free_color(const std::vector<vid_t>& set) const {
+    std::vector<bool> used(static_cast<std::size_t>(csr.num_vertices) + 2);
+    for (const vid_t v : set) {
+      for (const vid_t u : csr.neighbors(v)) {
+        used[static_cast<std::size_t>(paper[static_cast<std::size_t>(u)])] =
+            true;
+      }
+    }
+    std::int32_t color = 1;
+    while (used[static_cast<std::size_t>(color)]) ++color;
+    return color;
+  }
+
+  /// Algorithm 3's inner loop: a maximal independent set of the candidates.
+  std::vector<vid_t> maximal_set() {
+    std::vector<detail::Weight> cand = weight;
+    std::vector<vid_t> mis;
+    for (std::vector<vid_t> members = select(cand); !members.empty();
+         members = select(cand)) {
+      ++inner_steps;
+      for (const vid_t v : members) cand[static_cast<std::size_t>(v)] = 0;
+      for (const vid_t v : members) {
+        for (const vid_t u : csr.neighbors(v)) {
+          cand[static_cast<std::size_t>(u)] = 0;
+        }
+      }
+      mis.insert(mis.end(), members.begin(), members.end());
+    }
+    return mis;
+  }
+
+  /// Runs `algorithm` ("grb_is", "grb_jpl" or "grb_mis") to completion.
+  Coloring run(const std::string& algorithm) {
+    for (std::int32_t round = 1;; ++round) {
+      const std::vector<vid_t> set =
+          algorithm == "grb_mis" ? maximal_set() : select(weight);
+      if (set.empty()) break;
+      const std::int32_t color =
+          algorithm == "grb_jpl" ? min_free_color(set) : round;
+      for (const vid_t v : set) {
+        paper[static_cast<std::size_t>(v)] = color;
+        weight[static_cast<std::size_t>(v)] = 0;
+      }
+      ++result.iterations;
+    }
+    for (const std::int32_t color : paper) {
+      result.colors.push_back(color == 0 ? kUncolored : color - 1);
+    }
+    return result;
+  }
 };
 
-TEST(GrbFusedTail, DenseMaskRoundsUseFusedKernels) {
-  // Weights are dense, so every round's frontier mask is dense too and
-  // every round takes the fused tail.
-  const auto csr = graph::build_csr(graph::generate_rgg(9, {.seed = 4}));
-  const UnfusedLaunches cases[] = {
-      {"grb_is", [](const graph::Csr& g) { return grb_is_color(g); },
-       kUnfusedIs},
-      {"grb_jpl", [](const graph::Csr& g) { return grb_jpl_color(g); },
-       kUnfusedJpl},
-      {"grb_mis", [](const graph::Csr& g) { return grb_mis_color(g); },
-       kUnfusedMis},
-  };
-  for (const UnfusedLaunches& c : cases) {
-    const Coloring result = c.run(csr);
-    EXPECT_TRUE(is_valid_coloring(csr, result.colors)) << c.name;
-    const std::string prefix = std::string(c.name) + "::";
-    for (const char* kernel : {"sync_frontier", "assign_colors"}) {
-      const obs::KernelStat* stat = result.metrics.kernel(prefix + kernel);
-      ASSERT_NE(stat, nullptr) << prefix << kernel << " never launched";
-      EXPECT_GT(stat->launches, 0u) << prefix << kernel;
+Coloring run_grb(const std::string& algorithm, const graph::Csr& csr) {
+  if (algorithm == "grb_is") return grb_is_color(csr);
+  if (algorithm == "grb_jpl") return grb_jpl_color(csr);
+  return grb_mis_color(csr);
+}
+
+graph::Csr two_cliques(vid_t k) {
+  graph::Coo coo;
+  coo.num_vertices = 2 * k;
+  for (vid_t base : {vid_t{0}, k}) {
+    for (vid_t u = 0; u < k; ++u) {
+      for (vid_t v = u + 1; v < k; ++v) coo.add_edge(base + u, base + v);
     }
-    EXPECT_LT(result.kernel_launches, c.launches) << c.name;
+  }
+  return graph::build_csr(coo);
+}
+
+std::vector<graph::Csr> oracle_graphs() {
+  std::vector<graph::Csr> graphs;
+  graphs.push_back(graph::build_csr(graph::generate_rmat(10)));
+  graphs.push_back(graph::build_csr(graph::generate_mesh2d(24, 20)));
+  graphs.push_back(star_graph(4096));
+  graphs.push_back(two_cliques(13));
+  graphs.push_back(empty_graph(300));  // isolated-vertex dust
+  graphs.push_back(empty_graph(1));
+  graphs.push_back(empty_graph(0));
+  return graphs;
+}
+
+TEST(GrbOracle, MatchesSerialReplayAtOneAndManyWorkers) {
+  sim::Stream single(sim::Device::instance(), 1);
+  for (const char* algorithm : {"grb_is", "grb_jpl", "grb_mis"}) {
+    for (const auto& csr : oracle_graphs()) {
+      const Coloring oracle = SerialGrb(csr).run(algorithm);
+      Coloring one_worker;
+      single.submit([&] { one_worker = run_grb(algorithm, csr); });
+      single.synchronize();
+      for (const Coloring& result : {run_grb(algorithm, csr), one_worker}) {
+        EXPECT_EQ(result.colors, oracle.colors)
+            << algorithm << " n=" << csr.num_vertices;
+        EXPECT_EQ(result.iterations, oracle.iterations)
+            << algorithm << " n=" << csr.num_vertices;
+      }
+    }
   }
 }
 
-// ---- One-pass stores (every grb:: op merges and counts in its launch) ------
+// ---- Launch budget: each round is a fixed number of launches ---------------
 
-/// Launch counts on the graph below when each op still merged through a
-/// separate write_back launch and counted with sim::count_if. The one-pass
-/// store must come in strictly under.
-constexpr std::uint64_t kTwoPassIs = 126;
-constexpr std::uint64_t kTwoPassJpl = 139;
-constexpr std::uint64_t kTwoPassMis = 361;
-
-TEST(GrbOnePassStore, NoMergeOrCountLaunches) {
+TEST(GrbLaunchBudget, FixedLaunchesPerRound) {
+  // Per round: grb_is selects (one deferred-chain launch) and assigns;
+  // grb_jpl adds its min-color pass; each grb_mis inner step selects,
+  // assigns, finds the members' neighbors and knocks them out, and each
+  // outer round adds its closing select, its set mirror and its color
+  // assign. The constant is the weight draw and the final empty select(s).
   const auto csr = graph::build_csr(graph::generate_rgg(9, {.seed = 4}));
-  const UnfusedLaunches cases[] = {
-      {"grb_is", [](const graph::Csr& g) { return grb_is_color(g); },
-       kTwoPassIs},
-      {"grb_jpl", [](const graph::Csr& g) { return grb_jpl_color(g); },
-       kTwoPassJpl},
-      {"grb_mis", [](const graph::Csr& g) { return grb_mis_color(g); },
-       kTwoPassMis},
+  const auto rounds = [](const Coloring& result) {
+    return static_cast<std::uint64_t>(result.iterations);
   };
-  for (const UnfusedLaunches& c : cases) {
-    const Coloring result = c.run(csr);
-    EXPECT_TRUE(is_valid_coloring(csr, result.colors)) << c.name;
-    for (const char* kernel : {"grb::write_back", "sim::count_if"}) {
-      EXPECT_EQ(result.metrics.kernel(kernel), nullptr)
-          << c.name << " launched " << kernel;
-    }
-    EXPECT_LT(result.kernel_launches, c.launches) << c.name;
+  const Coloring is = grb_is_color(csr);
+  EXPECT_LE(is.kernel_launches, 2 * rounds(is) + 2);
+  const Coloring jpl = grb_jpl_color(csr);
+  EXPECT_LE(jpl.kernel_launches, 3 * rounds(jpl) + 2);
+  SerialGrb oracle(csr);
+  const Coloring expected = oracle.run("grb_mis");
+  const Coloring mis = grb_mis_color(csr);
+  ASSERT_EQ(mis.iterations, expected.iterations);
+  const auto steps = static_cast<std::uint64_t>(oracle.inner_steps);
+  EXPECT_LE(mis.kernel_launches, 4 * steps + 3 * rounds(mis) + 3);
+  for (const Coloring* result : {&is, &jpl, &mis}) {
+    EXPECT_TRUE(is_valid_coloring(csr, result->colors));
   }
 }
 

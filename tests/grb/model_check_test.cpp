@@ -13,8 +13,11 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "../testing/fixtures.hpp"
+#include "core/grb_common.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graphblas/grb.hpp"
 #include "sim/rng.hpp"
@@ -238,6 +241,216 @@ TEST_P(ModelCheckTest, RandomOpSequenceAgreesWithReference) {
       }
     }
     expect_agree(w, w_model, ("after step " + std::to_string(step)).c_str());
+  }
+}
+
+// ---- Deferred chains --------------------------------------------------------
+
+/// Builds random chains of 1-3 deferred ops and checks each one three ways:
+/// consumed deferred, consumed after eager materialization of every link,
+/// and against the reference model.
+class ChainCheck {
+ public:
+  static constexpr Index kSize = 40;
+  static constexpr int kMaxDepth = 3;
+
+  explicit ChainCheck(std::uint64_t seed)
+      : rng_(seed),
+        csr_(graph::build_csr(graph::generate_erdos_renyi(kSize, 80, seed))),
+        adjacency_(csr_) {}
+
+  std::uint64_t draw(std::uint64_t bound) {
+    return rng_.uniform_below(counter_++, bound);
+  }
+
+  /// A random vector (zeros included) in dense, bitmap or sparse storage.
+  std::pair<Vector<Value>, Model> operand() {
+    Vector<Value> vec(kSize);
+    Model model;
+    const std::uint64_t fill = 30 + draw(60);
+    for (Index i = 0; i < kSize; ++i) {
+      if (draw(100) < fill) model[i] = static_cast<Value>(draw(5));
+    }
+    const std::uint64_t storage = draw(3);
+    if (storage == 0) {  // dense: every position holds an entry
+      for (Index i = 0; i < kSize; ++i) model.try_emplace(i, Value{0});
+    }
+    std::vector<Value> values(static_cast<std::size_t>(kSize), 0);
+    std::vector<std::uint8_t> present(static_cast<std::size_t>(kSize), 0);
+    for (const auto& [i, value] : model) {
+      values[static_cast<std::size_t>(i)] = value;
+      present[static_cast<std::size_t>(i)] = 1;
+    }
+    if (storage == 0) {
+      vec.adopt_dense(std::move(values));
+    } else if (storage == 1) {
+      vec.adopt_bitmap(std::move(values), std::move(present),
+                       static_cast<Index>(model.size()));
+    } else {
+      for (const auto& [i, value] : model) vec.set_element(i, value);
+    }
+    return {std::move(vec), std::move(model)};
+  }
+
+  /// A random mask and descriptor, and the model's view of what it allows.
+  struct Masking {
+    std::pair<Vector<Value>, Model> mask;
+    Descriptor desc;
+    bool allows(Index i) const {
+      const bool set = desc.mask_structure
+                           ? mask.second.count(i) != 0
+                           : model_mask_allows(mask.second, i);
+      return desc.mask_complement ? !set : set;
+    }
+  };
+  Masking masking() {
+    Masking m{operand(), Descriptor{}};
+    m.desc.mask_complement = draw(3) == 0;
+    m.desc.mask_structure = draw(3) == 0;
+    m.desc.replace = draw(2) == 0;
+    return m;
+  }
+
+  /// Extends `expr` (whose eager twin is `eager`, model `model`) by one
+  /// random op, or stops and checks the chain's consumers.
+  template <int Depth, typename Expr>
+  void extend(Expr&& expr, const Vector<Value>& eager, const Model& model) {
+    if constexpr (Depth == 0) {
+      step<Depth>(std::forward<Expr>(expr), eager, model);
+    } else {
+      if constexpr (Depth < kMaxDepth) {
+        if (draw(3) != 0) {
+          step<Depth>(std::forward<Expr>(expr), eager, model);
+          return;
+        }
+      }
+      consume(expr, eager, model);
+    }
+  }
+
+ private:
+  template <int Depth, typename Expr>
+  void step(Expr&& expr, const Vector<Value>& eager, const Model& model) {
+    Vector<Value> next(kSize);
+    Model next_model;
+    switch (draw(4)) {
+      case 0: {  // masked pull vxm (max-times) reading the chain
+        const Masking m = masking();
+        Descriptor desc = m.desc;
+        desc.replace = true;
+        ASSERT_EQ(vxm(next, &m.mask.first, max_times_semiring<Value>(),
+                      eager, adjacency_, desc),
+                  Info::kSuccess);
+        for (Index j = 0; j < kSize; ++j) {
+          if (!m.allows(j)) continue;
+          const auto row = static_cast<std::size_t>(j);
+          for (eid_t e = csr_.row_offsets[row]; e < csr_.row_offsets[row + 1];
+               ++e) {
+            const auto it = model.find(static_cast<Index>(
+                csr_.col_indices[static_cast<std::size_t>(e)]));
+            if (it == model.end()) continue;
+            const auto [slot, fresh] = next_model.try_emplace(j, it->second);
+            if (!fresh) slot->second = std::max(slot->second, it->second);
+          }
+        }
+        extend<Depth + 1>(deferred::vxm(&m.mask.first,
+                                        max_times_semiring<Value>(), expr,
+                                        adjacency_, m.desc),
+                          next, next_model);
+        return;
+      }
+      case 1: {  // eWiseAdd(chain, v)
+        const auto v = operand();
+        ASSERT_EQ(eWiseAdd(next, nullptr, Plus{}, eager, v.first),
+                  Info::kSuccess);
+        next_model = v.second;
+        for (const auto& [i, value] : model) next_model[i] += value;
+        extend<Depth + 1>(
+            deferred::eWiseAdd(Plus{}, std::forward<Expr>(expr), v.first),
+            next, next_model);
+        return;
+      }
+      case 2: {  // eWiseMult(v, chain)
+        const auto v = operand();
+        ASSERT_EQ(eWiseMult(next, nullptr, Times{}, v.first, eager),
+                  Info::kSuccess);
+        for (const auto& [i, value] : model) {
+          const auto it = v.second.find(i);
+          if (it != v.second.end()) next_model[i] = it->second * value;
+        }
+        extend<Depth + 1>(
+            deferred::eWiseMult(Times{}, v.first, std::forward<Expr>(expr)),
+            next, next_model);
+        return;
+      }
+      default: {  // apply, bounded so chains cannot overflow
+        const auto f = [](Value x) { return x % 7 + 1; };
+        ASSERT_EQ(apply(next, nullptr, f, eager), Info::kSuccess);
+        for (const auto& [i, value] : model) next_model[i] = f(value);
+        extend<Depth + 1>(deferred::apply(f, expr), next, next_model);
+        return;
+      }
+    }
+  }
+
+  /// store under a random mask/replace into a random w, and mirror_count;
+  /// each deferred against its eager twin and the model.
+  template <typename Expr>
+  void consume(const Expr& expr, const Vector<Value>& eager,
+               const Model& model) {
+    expect_agree(eager, model, "eager chain");
+    const Masking m = masking();
+    auto [w, w_model] = operand();
+    Vector<Value> w_eager = w;
+    ASSERT_EQ(store(w, &m.mask.first, expr, m.desc), Info::kSuccess);
+    ASSERT_EQ(apply(w_eager, &m.mask.first, [](Value x) { return x; }, eager,
+                    m.desc),
+              Info::kSuccess);
+    Model next;
+    for (Index i = 0; i < kSize; ++i) {
+      const auto it = model.find(i);
+      const auto old = w_model.find(i);
+      if (m.allows(i) && it != model.end()) {
+        next[i] = it->second;
+      } else if (!m.desc.replace && old != w_model.end()) {
+        next[i] = old->second;
+      }
+    }
+    expect_agree(w, next, "deferred store");
+    expect_agree(w_eager, next, "eager store");
+
+    auto& device = sim::Device::instance();
+    Vector<std::uint8_t> active(kSize), active_eager(kSize);
+    const std::int64_t count =
+        color::detail::mirror_count(device, "test::mirror", expr, active);
+    EXPECT_EQ(count, color::detail::mirror_count(device, "test::mirror",
+                                                 eager, active_eager));
+    std::int64_t expected = 0;
+    for (Index i = 0; i < kSize; ++i) {
+      const auto it = model.find(i);
+      const bool set = it != model.end() && it->second != 0;
+      expected += set ? 1 : 0;
+      std::uint8_t byte = 0;
+      ASSERT_EQ(active.extract_element(&byte, i), Info::kSuccess);
+      EXPECT_EQ(byte, set ? 1 : 0) << "deferred mirror at " << i;
+      ASSERT_EQ(active_eager.extract_element(&byte, i), Info::kSuccess);
+      EXPECT_EQ(byte, set ? 1 : 0) << "eager mirror at " << i;
+    }
+    EXPECT_EQ(count, expected);
+  }
+
+  const sim::CounterRng rng_;
+  std::uint64_t counter_ = 0;
+  const graph::Csr csr_;
+  const Matrix<Value> adjacency_;
+};
+
+TEST_P(ModelCheckTest, DeferredChainsAgreeWithEagerAndReference) {
+  ChainCheck check(GetParam());
+  for (int chain = 0; chain < 150; ++chain) {
+    const auto leaf = check.operand();
+    check.extend<0>(leaf.first, leaf.first, leaf.second);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
