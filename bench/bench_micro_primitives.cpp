@@ -251,43 +251,11 @@ void BM_MinColorBitPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_MinColorBitPacked)->Arg(8)->Arg(32)->Arg(64)->Arg(256)->Arg(1024);
 
-// SIMD substrate ablations (DESIGN.md §3f). Window-width axis of the
-// windowed first-fit: W = 1 is the scalar oracle (one 64-color word per
-// overflow pass), W = kLaneWords amortizes overflow passes over one vector
-// register's worth of palette. The input is the adversarial dense
-// neighborhood — neighbor k holds color k, so every color in [0, degree) is
-// taken, the answer is `degree`, and the sweep walks degree/(64*W)+2
-// adjacency passes. Same exact answer at any W; the realistic low-color
-// distribution (where the shared scalar first window resolves everything
-// and W is irrelevant) is BM_MinColorBitPacked above.
-template <std::size_t W>
-void BM_PaletteMinColor(benchmark::State& state) {
-  const std::int64_t degree = state.range(0);
-  std::vector<std::int32_t> colors(static_cast<std::size_t>(degree));
-  for (std::size_t k = 0; k < colors.size(); ++k) {
-    colors[k] = static_cast<std::int32_t>(colors.size() - 1 - k);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(color::palette::first_fit_windowed<W>(
-        degree,
-        [&](std::int64_t k) { return colors[static_cast<std::size_t>(k)]; }));
-  }
-  state.SetItemsProcessed(state.iterations() * degree);
-}
-constexpr std::size_t kScalarWindow = 1;
-constexpr std::size_t kSimdWindow =
-    static_cast<std::size_t>(sim::simd::kLaneWords);
-BENCHMARK(BM_PaletteMinColor<kScalarWindow>)
-    ->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_PaletteMinColor<kSimdWindow>)
-    ->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
-
-// Bitmap-frontier scan: per-word visit loop (the pre-SIMD shape) vs
-// visit_set_bits_span, whose simd::first_nonzero_word hops zero runs a lane
-// at a time. The argument is the set-bit stride (1/k density): dense
-// frontiers have no zero runs to skip, sparse ones are mostly skipping —
-// the win must come without changing the visit order (both sides sum the
-// same bit indices).
+// Bitmap-frontier scan: per-word visit loop vs visit_set_bits_span, whose
+// simd::first_nonzero_word hops zero runs in one tight search. The argument
+// is the set-bit stride (1/k density): dense frontiers have no zero runs to
+// skip, sparse ones are mostly skipping — the win must come without
+// changing the visit order (both sides sum the same bit indices).
 template <bool kSpanScan>
 void BM_BitmapScan(benchmark::State& state) {
   constexpr std::int64_t kBits = 1 << 20;

@@ -11,7 +11,6 @@
 #include "obs/perf.hpp"
 #include "obs/trace.hpp"
 #include "sim/device.hpp"
-#include "sim/simd.hpp"
 #include "sim/timer.hpp"
 
 namespace gcol::bench {
@@ -35,7 +34,7 @@ namespace {
       "  --batch=N    batched-throughput mode: color N copies of each graph "
       "as one multi-stream batch and compare against N sequential runs "
       "(default 0 = classic mode)\n"
-      "  --json PATH  also write a gcol-bench-v8 JSON report to PATH\n"
+      "  --json PATH  also write a gcol-bench-v9 JSON report to PATH\n"
       "  --trace PATH also write a Chrome trace-event JSON (open in "
       "ui.perfetto.dev)\n"
       "  --datasets=A,B  only run the named datasets (default: all)\n"
@@ -65,7 +64,7 @@ bool install_hw_sampling() {
   return true;
 }
 
-/// The run-environment block of the gcol-bench-v8 header: enough to tell two
+/// The run-environment block of the gcol-bench-v9 header: enough to tell two
 /// BENCH_*.json files measured different machines/configs apart before
 /// comparing their numbers. Git SHA and build type are baked in at configure
 /// time (see bench/CMakeLists.txt); worker count and GCOL_THREADS are read
@@ -90,20 +89,15 @@ obs::Json run_meta(gr::FrontierMode frontier_mode, unsigned streams,
   meta.set("build_type", "unknown");
 #endif
   // The substrate's advance schedule (edge-balanced merge-path, the only
-  // one); the key stays so the v8 schema and older reports keep their shape.
+  // one); the key stays so the v9 schema and older reports keep their shape.
   meta.set("advance_policy", "edge_balanced");
-  // The frontier policy of the measured runs — BENCH_baseline.json (the
-  // retired sparse-list engine) vs BENCH_after.json (auto) differ exactly
-  // here, and bench_diff keys its per-direction breakdown off it.
+  // The frontier policy of the measured runs (--frontier); bench_diff warns
+  // when two reports differ here.
   meta.set("frontier_mode", gr::to_string(frontier_mode));
   // v3: how many device streams the measured runs were scheduled onto.
   // 0 marks a classic run (everything on the host's default context), so
   // bench_diff can refuse to compare batched against classic numbers.
   meta.set("streams", static_cast<std::int64_t>(streams));
-  // v4: which SIMD backend the binary was compiled against (sim/simd.hpp:
-  // avx2 | sse2 | neon | scalar), so a scalar-vs-vector wall-clock delta in
-  // the trajectory is attributable to the vector unit, not a code change.
-  meta.set("simd", sim::simd_isa());
   // v5: the CSR relabeling strategy the measured runs colored under
   // (graph/reorder.hpp: identity | degree_sort | dbg | bfs). Reordering
   // changes memory locality but not the external coloring contract, so two
@@ -372,7 +366,7 @@ JsonReport::JsonReport(std::string bench_name, const Args& args,
   // Disabled reports never serialize, so skip the header — notably the
   // peak-bandwidth calibration run_meta triggers — on table-only runs.
   if (!enabled()) return;
-  header_.set("schema", "gcol-bench-v8");
+  header_.set("schema", "gcol-bench-v9");
   header_.set("bench", std::move(bench_name));
   header_.set("scale", args.scale);
   header_.set("runs", args.runs);

@@ -130,15 +130,17 @@ class TablePrinter {
 /// Accumulates one schema-stable JSON record per (dataset, algorithm) data
 /// point and writes the whole report on demand:
 ///
-///   {"schema": "gcol-bench-v8", "bench": <name>, "scale": F, "runs": N,
+///   {"schema": "gcol-bench-v9", "bench": <name>, "scale": F, "runs": N,
 ///    "seed": N, "meta": {"workers": N, "gcol_threads": S, "git_sha": S,
 ///    "build_type": S, "advance_policy": S, "frontier_mode": S,
-///    "streams": N, "simd": S, "reorder": S, "hw_counters": B,
-///    "peak_gbps": F},
+///    "streams": N, "reorder": S, "hw_counters": B, "peak_gbps": F},
 ///    "records": [{"dataset": ..., "algorithm": ..., "ms": F,
 ///    "ms_min": F, "colors": N, "iterations": N, "kernel_launches": N,
 ///    "conflicts_resolved": N, "valid": B, "display_name": ...,
 ///    "metrics": {...}}, ...]}
+///
+/// v9 over v8: the "simd" meta key is gone with the compile-selected SIMD
+/// backends it named; sim/simd.hpp has one word-loop implementation.
 ///
 /// v8 over v7: v7's trailing replay-mode meta key and its per-kernel
 /// replayed-launch / barrier-interval counters are gone with the launch
@@ -159,10 +161,8 @@ class TablePrinter {
 /// labeling), so this key is what distinguishes two otherwise-identical
 /// reports in a locality ablation, and bench_diff warns when it moves.
 ///
-/// v4 over v3: the trailing "simd" meta key — the compile-selected SIMD
-/// backend of sim/simd.hpp (avx2 | sse2 | neon | scalar), so wall-clock
-/// deltas between a scalar and a vectorized build are attributable in the
-/// trajectory.
+/// v4 over v3: a "simd" meta key naming the compile-selected SIMD backend
+/// (removed again in v9).
 ///
 /// v3 over v2: the trailing "streams" meta key — the number of device
 /// streams the harness scheduled work onto (0 for a classic host-only run),

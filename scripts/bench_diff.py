@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
 """Diff two gcol-bench JSON reports (see bench/common/bench_util.hpp).
 
-Accepts gcol-bench-v8 reports and the v7 reports they replaced (v8 drops
-v7's trailing replay-mode meta flag and per-kernel replay counters, so a
-v7-vs-v8 diff shows the missing meta key as a mismatch and otherwise
-compares normally). The meta header names the run environment —
-worker count, build, frontier policy, streams, SIMD backend, CSR reorder
-strategy, hardware-counter sampling and measured peak bandwidth — and
+Accepts gcol-bench-v9 reports. The meta header names the run environment —
+worker count, build, frontier policy, streams, CSR reorder strategy,
+hardware-counter sampling and measured peak bandwidth — and
 batched-throughput records ("kind": "batch") are skipped: batch throughput
 is compared by eye, not gated. Compares records
 keyed by (dataset, algorithm) and reports, per pair: runtime (ms),
@@ -43,7 +40,7 @@ import argparse
 import json
 import sys
 
-ACCEPTED_SCHEMAS = ("gcol-bench-v7", "gcol-bench-v8")
+SCHEMA = "gcol-bench-v9"
 
 # meta.peak_gbps is a measured float: ignore run-to-run jitter below this
 # relative difference, warn beyond it (a different machine or memory config).
@@ -56,11 +53,14 @@ GATING_FLAGS = ("INVALID", "LAUNCHES+", "COLORS+")
 def load_doc(path: str) -> dict:
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") not in ACCEPTED_SCHEMAS:
-        sys.exit(f"{path}: not a gcol-bench report "
-                 f"(schema={doc.get('schema')!r}, "
-                 f"accepted: {', '.join(ACCEPTED_SCHEMAS)})")
+    check_schema(doc, path)
     return doc
+
+
+def check_schema(doc: dict, path: str) -> None:
+    if doc.get("schema") != SCHEMA:
+        sys.exit(f"{path}: not a {SCHEMA} report "
+                 f"(schema={doc.get('schema')!r})")
 
 
 def index_records(doc: dict, path: str) -> dict[tuple[str, str], dict]:
@@ -295,8 +295,8 @@ def _record(dataset="d", algorithm="a", ms=10.0, launches=5, colors=4,
     }
 
 
-def _doc(records, schema="gcol-bench-v8", meta=None) -> dict:
-    doc = {"schema": schema, "bench": "self_test", "scale": 0.01, "runs": 1,
+def _doc(records, meta=None) -> dict:
+    doc = {"schema": SCHEMA, "bench": "self_test", "scale": 0.01, "runs": 1,
            "seed": 1, "records": records}
     if meta is not None:
         doc["meta"] = meta
@@ -437,40 +437,37 @@ def self_test() -> int:
     check("batch records skipped", _run_compare(base, batched) == 0)
     check("batch-only report refuses to diff", _batch_only_exits(batched))
 
-    # The full v8 meta header: every config axis mismatch warns, never
+    # The full v9 meta header: every config axis mismatch warns, never
     # gates; deterministic regressions still gate across any of them.
-    def v8(kernels=None, launches=5, **overrides):
+    def v9(kernels=None, launches=5, **overrides):
         meta = {"workers": 1, "gcol_threads": "1", "git_sha": "abc",
                 "build_type": "Release", "advance_policy": "edge_balanced",
-                "frontier_mode": "auto", "streams": 0, "simd": "avx2",
+                "frontier_mode": "auto", "streams": 0,
                 "reorder": "identity", "hw_counters": False,
                 "peak_gbps": 25.0}
         meta.update(overrides)
         return _doc([_record(kernels=kernels, launches=launches)], meta=meta)
-    check("v8 vs v8 compares", _run_compare(v8(), v8()) == 0)
-    for key, before, after in (("simd", "scalar", "avx2"),
+    check("v9 vs v9 compares", _run_compare(v9(), v9()) == 0)
+    for key, before, after in (("frontier_mode", "auto", "bitmap-push"),
                                ("reorder", "identity", "dbg"),
                                ("hw_counters", False, True)):
         out = []
-        code = _run_compare(v8(**{key: before}), v8(**{key: after}),
+        code = _run_compare(v9(**{key: before}), v9(**{key: after}),
                             capture=out)
         check(f"meta.{key} mismatch warned, not gated",
               code == 0 and f"meta.{key}: {before!r} -> {after!r}" in out[0])
-    out = []
-    _run_compare(v8(simd="sse2"), v8(simd="sse2"), capture=out)
-    check("matching meta.simd silent", "meta.simd" not in out[0])
     # Cross-layout regressions still gate: reordering may not cost colors
     # or launches, so an identity-vs-dbg diff with LAUNCHES+ fails.
     check("cross-layout LAUNCHES+ still gates",
-          _run_compare(v8(reorder="identity"),
-                       v8(reorder="dbg", launches=6)) == 1)
+          _run_compare(v9(reorder="identity"),
+                       v9(reorder="dbg", launches=6)) == 1)
     # peak_gbps is measured: small jitter stays silent, a big relative
     # difference (different machine) warns.
     out = []
-    _run_compare(v8(peak_gbps=25.0), v8(peak_gbps=26.5), capture=out)
+    _run_compare(v9(peak_gbps=25.0), v9(peak_gbps=26.5), capture=out)
     check("peak_gbps jitter silent", "meta.peak_gbps" not in out[0])
     out = []
-    code = _run_compare(v8(peak_gbps=25.0), v8(peak_gbps=50.0), capture=out)
+    code = _run_compare(v9(peak_gbps=25.0), v9(peak_gbps=50.0), capture=out)
     check("peak_gbps machine change warned, not gated",
           code == 0 and "meta.peak_gbps" in out[0])
 
@@ -481,24 +478,24 @@ def self_test() -> int:
         return {"k": {"launches": 5, "items": 100, "total_ms": 9.0,
                       "bytes_read": 8_000_000, "bytes_written": 2_000_000,
                       "gbps": gbps}}
-    bw_base = v8(kernels=traffic_kernels(10.0))
+    bw_base = v9(kernels=traffic_kernels(10.0))
     out = []
-    code = _run_compare(bw_base, v8(kernels=traffic_kernels(5.0)),
+    code = _run_compare(bw_base, v9(kernels=traffic_kernels(5.0)),
                         capture=out)
     check("BANDWIDTH- flagged advisory",
           code == 0 and "BANDWIDTH-" in out[0])
     out = []
-    code = _run_compare(bw_base, v8(kernels=traffic_kernels(9.0)),
+    code = _run_compare(bw_base, v9(kernels=traffic_kernels(9.0)),
                         capture=out)
     check("bandwidth within tolerance unflagged",
           code == 0 and "BANDWIDTH-" not in out[0])
     out = []
-    code = _run_compare(bw_base, v8(kernels=traffic_kernels(20.0)),
+    code = _run_compare(bw_base, v9(kernels=traffic_kernels(20.0)),
                         capture=out)
     check("bandwidth improvement unflagged",
           code == 0 and "BANDWIDTH-" not in out[0])
     out = []
-    code = _run_compare(base, v8(kernels=traffic_kernels(5.0)), capture=out)
+    code = _run_compare(base, v9(kernels=traffic_kernels(5.0)), capture=out)
     check("bandwidth skipped when baseline lacks traffic model",
           code == 0 and "BANDWIDTH-" not in out[0])
     # record_bandwidth reconstructs the aggregate rate exactly.
@@ -506,14 +503,13 @@ def self_test() -> int:
     check("record bandwidth reconstructed",
           bw is not None and 9.99 < bw < 10.01)
 
-    # v7 reports (the committed BENCH pair) still diff against v8.
-    v7 = v8()
-    v7["schema"] = "gcol-bench-v7"
-    check("v7 vs v8 compares", _run_compare(v7, v8()) == 0)
-    check("v7 LAUNCHES+ still gates against v8",
-          _run_compare(v7, v8(launches=6)) == 1)
-    # Older schemas are refused.
-    check("v6 schema refused", "gcol-bench-v6" not in ACCEPTED_SCHEMAS)
+    # Any other schema is refused.
+    try:
+        check_schema({"schema": "gcol-bench-v8"}, "<v8>")
+        refused = False
+    except SystemExit:
+        refused = True
+    check("v8 schema refused", refused)
 
     if failures:
         print(f"self-test FAILED: {len(failures)} case(s)")

@@ -124,9 +124,8 @@ std::int32_t jp_min_color_fused(sim::Device& device, const graph::Csr& csr,
       sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t)), 0} +
           palette::kFirstFitPerNeighbor);
 
-  // Wide OR of the per-slot masks into slot 0's words, then one SIMD
-  // first-zero-bit search — the same combine the word-major loop did, 4
-  // words per instruction.
+  // OR the per-slot masks into slot 0's words, then one first-zero-bit
+  // search over the combined window.
   const std::span<std::uint64_t> combined = masks.first(words);
   for (unsigned slot = 1; slot < workers; ++slot) {
     sim::simd::or_into(combined, masks.subspan(slot * words, words));

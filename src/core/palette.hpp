@@ -9,14 +9,12 @@
 //
 // Two modes, trading scratch for adjacency re-scans:
 //
-//   - first_fit_windowed: ZERO scratch. Sweeps candidate colors in windows
-//     held in registers — a single 64-color word first (the common case:
-//     first-fit answers are almost always < 64), then W-word wide windows
-//     (W = the SIMD lane width by default) for the rare high-color vertices,
-//     re-reading the neighbor colors per window. A degree-d vertex
-//     first-fits within [0, d], so the sweep visits at most d/(64*W) + 2
-//     windows; on the low-degree graphs of the paper's Figure 1 that is one
-//     window — one pass, one countr_one.
+//   - first_fit_windowed: ZERO scratch. Sweeps candidate colors in
+//     ascending 64-color windows held in one register word, re-reading the
+//     neighbor colors per window. A degree-d vertex first-fits within
+//     [0, d], so the sweep visits at most d/64 + 1 windows; on the
+//     low-degree graphs of the paper's Figure 1 that is one window — one
+//     pass, one countr_one.
 //
 //   - ForbiddenPalette: O(deg/64 + 1) words per vertex, one adjacency pass
 //     regardless of degree. Total scratch is O(n + m/64) words instead of
@@ -28,7 +26,6 @@
 // windowed pays (deg/64 + 1) reads per edge and a single word op per
 // window; bit-packed pays one OR per edge and a words(v)-word scan.
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,7 +41,7 @@ namespace gcol::color::palette {
 /// Structural traffic of a first-fit color pass, per NEIGHBOR: one neighbor
 /// color gather (the window words are register-held, the adjacency gather is
 /// the substrate's own declaration). A floor — the rare high-color vertex
-/// re-reads its neighbors once per extra 64*W-color window. Color kernels
+/// re-reads its neighbors once per extra 64-color window. Color kernels
 /// pass this (plus their own extras) as the advance substrate's
 /// per-position traffic.
 inline constexpr sim::Traffic kFirstFitPerNeighbor{
@@ -60,52 +57,28 @@ inline constexpr sim::Traffic kMaskMarkPerNeighbor{
 
 /// Minimum color >= 0 not present in a degree-`degree` neighborhood, where
 /// `color_of(k)` yields the k-th neighbor's color (negative = uncolored).
-/// Allocation-free, in two phases: the first adjacency pass uses a single
-/// register-held 64-color word — most vertices first-fit under color 64, and
-/// a one-word window costs one shift/OR per neighbor with no indexed store.
-/// Only when colors [0, 64) are all taken does the sweep continue in wide
-/// windows of W words (W = the SIMD lane width by default), so a degree-d
-/// vertex pays at most d/(64*W) + 2 adjacency passes — the wider the vector
-/// unit, the fewer re-scans a high-color vertex pays, and the cheap common
-/// case never pays for the width. The answer is the exact first-fit minimum
-/// at ANY W (the window sweep is exhaustive and ascending); W = 1 is the
-/// scalar oracle the benchmarks ablate against.
-template <std::size_t W = static_cast<std::size_t>(sim::simd::kLaneWords),
-          typename ColorOf>
+/// Allocation-free: each adjacency pass ORs the neighbor colors that fall
+/// in one register-held 64-color window, and the sweep moves up a window
+/// only when every color of the current one is taken. Most vertices
+/// first-fit under color 64, so the common case is one pass with one
+/// shift/OR per neighbor and no indexed store; a degree-d vertex pays at
+/// most d/64 + 1 passes. The sweep is exhaustive and ascending, so the
+/// answer is the exact first-fit minimum.
+template <typename ColorOf>
 [[nodiscard]] std::int32_t first_fit_windowed(std::int64_t degree,
                                               ColorOf&& color_of) {
-  static_assert(W >= 1);
-  {
+  for (std::int32_t base = 0;; base += sim::kBitsPerWord) {
     std::uint64_t window = 0;
     for (std::int64_t k = 0; k < degree; ++k) {
-      const std::int32_t c = color_of(k);
-      if (c >= 0 && c < sim::kBitsPerWord) {
-        window |= std::uint64_t{1} << c;
-      }
-    }
-    if (window != sim::kFullWord) return sim::min_unset_bit(window);
-  }
-  constexpr std::int32_t kWindowBits =
-      static_cast<std::int32_t>(W) * sim::kBitsPerWord;
-  for (std::int32_t base = sim::kBitsPerWord;; base += kWindowBits) {
-    std::array<std::uint64_t, W> window{};
-    for (std::int64_t k = 0; k < degree; ++k) {
       const std::int32_t rel = color_of(k) - base;
-      if (rel >= 0 && rel < kWindowBits) {
-        window[static_cast<std::size_t>(rel) /
-               static_cast<std::size_t>(sim::kBitsPerWord)] |=
-            std::uint64_t{1} << (rel % sim::kBitsPerWord);
+      if (rel >= 0 && rel < sim::kBitsPerWord) {
+        window |= std::uint64_t{1} << rel;
       }
     }
-    for (std::size_t w = 0; w < W; ++w) {
-      if (window[w] != sim::kFullWord) {
-        return base + static_cast<std::int32_t>(w) * sim::kBitsPerWord +
-               sim::min_unset_bit(window[w]);
-      }
-    }
-    // Full window: every color in [base, base + 64*W) is taken, which needs
-    // 64*W distinct neighbor colors — so the sweep ends within deg/(64*W)+1
-    // wide windows and always terminates.
+    if (window != sim::kFullWord) return base + sim::min_unset_bit(window);
+    // Full window: every color in [base, base + 64) is taken, which needs
+    // 64 distinct neighbor colors — so the sweep ends within deg/64 + 1
+    // windows and always terminates.
   }
 }
 

@@ -9,27 +9,42 @@
 
 namespace gcol::graph {
 
-bool Csr::check() const {
-  if (num_vertices < 0) return false;
-  if (row_offsets.size() != static_cast<std::size_t>(num_vertices) + 1) {
+namespace {
+
+/// The row invariants of a built CSR. Self loops and duplicate neighbors are
+/// invariant violations only when the BuildOptions promised to remove them.
+bool rows_valid(const Csr& csr, bool allow_self_loops, bool allow_duplicates) {
+  const vid_t n = csr.num_vertices;
+  if (n < 0) return false;
+  if (csr.row_offsets.size() != static_cast<std::size_t>(n) + 1) {
     return false;
   }
-  if (row_offsets.front() != 0) return false;
-  if (row_offsets.back() != static_cast<eid_t>(col_indices.size())) {
+  if (csr.row_offsets.front() != 0) return false;
+  if (csr.row_offsets.back() != static_cast<eid_t>(csr.col_indices.size())) {
     return false;
   }
-  for (vid_t v = 0; v < num_vertices; ++v) {
+  for (vid_t v = 0; v < n; ++v) {
     const auto row = static_cast<std::size_t>(v);
-    if (row_offsets[row] > row_offsets[row + 1]) return false;
-    const auto adj = neighbors(v);
+    if (csr.row_offsets[row] > csr.row_offsets[row + 1]) return false;
+    const auto adj = csr.neighbors(v);
     for (std::size_t i = 0; i < adj.size(); ++i) {
       const vid_t u = adj[i];
-      if (u < 0 || u >= num_vertices) return false;
-      if (u == v) return false;                      // self loop
-      if (i > 0 && adj[i - 1] >= u) return false;    // unsorted or duplicate
+      if (u < 0 || u >= n) return false;
+      if (u == v && !allow_self_loops) return false;
+      if (i > 0 && adj[i - 1] >= u &&
+          !(allow_duplicates && adj[i - 1] == u)) {
+        return false;  // unsorted, or a duplicate that was promised away
+      }
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool Csr::check() const {
+  return rows_valid(*this, /*allow_self_loops=*/false,
+                    /*allow_duplicates=*/false);
 }
 
 Csr build_csr(const Coo& coo, const BuildOptions& options) {
@@ -100,7 +115,7 @@ Csr build_csr(const Coo& coo, const BuildOptions& options) {
   csr.row_offsets[static_cast<std::size_t>(n)] = write;
   cols.resize(static_cast<std::size_t>(write));
   csr.col_indices = std::move(cols);
-  assert(csr.check());
+  assert(rows_valid(csr, !options.remove_self_loops, !options.deduplicate));
   return csr;
 }
 

@@ -1,9 +1,9 @@
 #pragma once
 // Cache-aware vertex reordering: permutation strategies + a device-measured
-// CSR relabeling pass. After PRs 2-7 removed launch overhead, fused kernels
-// and vectorized the word loops, the Figure-1 algorithms are bound by
-// irregular CSR gathers whose cost is set by the *vertex numbering* of the
-// input — which the library previously took as-is. A relabeling layer that
+// CSR relabeling pass. Once launch overhead is removed and kernels are
+// fused, the Figure-1 algorithms are bound by irregular CSR gathers whose
+// cost is set by the *vertex numbering* of the input — which the library
+// previously took as-is. A relabeling layer that
 // packs hubs densely (so their colors/priorities share cache lines) and
 // keeps low-degree tails in neighbor-affine order is the classic fix
 // (cf. Chen et al.'s locality analysis and Gunrock's memory-divergence

@@ -188,10 +188,10 @@ template <typename Pred>
       [&](unsigned slot, unsigned num_slots) {
         const auto [begin, end] = sim::slot_range(slot, num_slots, num_words);
         std::int64_t local = 0;
-        // Empty input words filter to empty output words, so the SIMD
-        // first-nonzero-word search skips zero runs wholesale (4 words per
-        // compare on AVX2) and bulk-zeroes the matching output range; pred
-        // still runs exactly once per member, in the same order.
+        // Empty input words filter to empty output words, so the
+        // first-nonzero-word search skips zero runs wholesale and
+        // bulk-zeroes the matching output range; pred still runs exactly
+        // once per member, in the same order.
         std::int64_t w = begin;
         while (w < end) {
           const std::int64_t skip = sim::simd::first_nonzero_word(

@@ -12,14 +12,13 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "sim/simd.hpp"
 
 namespace gcol::sim {
 
 /// Colors per mask word. 64 matches the widest single-instruction ffs the
-/// host offers; a window of W words covers colors [base, base + 64*W).
+/// host offers; a window of one word covers colors [base, base + 64).
 inline constexpr std::int32_t kBitsPerWord = 64;
 
 /// All bits set: a word with no free color.
@@ -52,21 +51,10 @@ constexpr void set_bit(std::uint64_t* words, std::int64_t bit) noexcept {
 }
 
 /// Lowest zero bit across a word span, or -1 when every bit is set.
-/// Words are scanned in order, so the result is the global minimum. At
-/// runtime this is the SIMD first-zero-bit search (4 full words per compare
-/// on AVX2); the scalar loop remains for constant evaluation and is the
-/// reference the vector backends are property-tested against.
+/// Words are scanned in order, so the result is the global minimum
+/// (simd::first_zero_bit, usable in constant expressions too).
 [[nodiscard]] constexpr std::int64_t min_unset_bit(
     std::span<const std::uint64_t> words) noexcept {
-  if (std::is_constant_evaluated()) {
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      if (words[w] != kFullWord) {
-        return static_cast<std::int64_t>(w) * kBitsPerWord +
-               min_unset_bit(words[w]);
-      }
-    }
-    return -1;
-  }
   return simd::first_zero_bit(words);
 }
 
@@ -91,14 +79,13 @@ constexpr void visit_set_bits(std::uint64_t word, std::int64_t base,
 }
 
 /// Calls visit(bit) for every set bit of a word span, ascending, where bit
-/// indices start at `base_bit` for words[0]. Zero runs are skipped with the
-/// SIMD first-nonzero-word search (4 words per compare on AVX2) instead of
-/// one compare per word — the sequential spelling of visit_set_bits for
+/// indices start at `base_bit` for words[0]. Zero runs are skipped with
+/// simd::first_nonzero_word — the sequential spelling of visit_set_bits for
 /// contiguous ranges (slot word ranges, whole-bitmap sweeps). Visit order
-/// and visited set are identical to the per-word loop. The wide search only
+/// and visited set are identical to the per-word loop. The skip only
 /// engages on a zero word: nonzero words pay one extra compare, so dense
-/// bitmaps keep per-word-loop throughput while sparse ones skip zero runs a
-/// lane at a time (BM_BitmapScan measures both regimes).
+/// bitmaps keep per-word-loop throughput (BM_BitmapScan measures both
+/// regimes).
 template <typename Visit>
 void visit_set_bits_span(std::span<const std::uint64_t> words,
                          std::int64_t base_bit, Visit&& visit) {

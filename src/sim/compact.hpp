@@ -46,9 +46,9 @@ void fused_compact(Device& device, std::int64_t n, Pred pred, Resize resize,
   const std::span<std::int64_t> slot_counts =
       device.scratch().get<std::int64_t>(ScratchLane::kSlotCounts, workers);
 
-  // The flag pass stores 0/1 bytes; the slot count is then one SIMD byte
-  // sum over the block (SAD on x86: 16-32 flags per add) instead of an
-  // in-loop counter carried through the predicate.
+  // The flag pass stores 0/1 bytes; the slot count is then one byte sum
+  // over the block (simd::sum_bytes) instead of an in-loop counter carried
+  // through the predicate.
   device.launch_slots(
       "sim::compact_flag_count",
       [&](unsigned slot, unsigned num_slots) {

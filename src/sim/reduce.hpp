@@ -58,9 +58,8 @@ template <typename T, typename Combine>
 }
 
 /// Sum reduction. 64-bit integer spans run each slot's partial through the
-/// SIMD wide sum (wrapping adds commute, so the lane regrouping is exact);
-/// the kernel keeps the "sim::reduce" launch name either way, so per-kernel
-/// stats stay comparable across backends.
+/// wrapping simd::sum_span; the kernel keeps the "sim::reduce" launch name
+/// either way, so per-kernel stats stay comparable across element types.
 template <typename T>
 [[nodiscard]] T reduce_sum(Device& device, std::span<const T> values) {
   if constexpr (std::is_integral_v<T> && sizeof(T) == sizeof(std::uint64_t)) {

@@ -64,8 +64,8 @@ T exclusive_scan(Device& device, std::span<const T> in, std::span<T> out) {
   }
 
   // The partials phase is order-free (one total per block), so it runs
-  // through the SIMD wide sum for 64-bit integers; only the apply phase
-  // needs the serial element order.
+  // through the wrapping simd::sum_span; only the apply phase needs the
+  // serial element order.
   const std::span<T> block_sums =
       device.scratch().template get<T>(ScratchLane::kBlockSums, workers);
   device.launch_slots("sim::scan_partials",

@@ -1,37 +1,22 @@
 #pragma once
-// Portable fixed-width SIMD substrate — the word-level vector unit of the
-// virtual GPU. Every hot loop this repo has built so far (bit-packed
-// forbidden-color palettes, bitmap frontiers, dense pull probes, the
-// scan/reduce/compact primitives) streams over arrays of 64-bit mask words
-// one word at a time; on real hardware those loops are the vector loads,
-// wide ORs and ballot/popc instructions Chen et al. and cuSPARSE csrcolor
-// get their throughput from. This header exposes the handful of verbs the
-// substrate actually needs — wide OR/AND/ANDNOT over word spans, first-zero-
-// bit search, popcount-accumulate, span equality / any-set tests, masked
-// copy, and a wrapping sum — each implemented 4 (AVX2) / 2 (SSE2, NEON) / 1
-// (scalar) words per step.
+// Word-loop verbs of the virtual GPU — the handful of span operations the
+// substrate's hot loops share (bit-packed forbidden-color palettes, bitmap
+// frontiers, the scan/reduce/compact primitives): fill, wordwise OR,
+// first-zero-bit search, first-nonzero-word skip, popcount-accumulate and
+// wrapping sums. Each is a plain one-word-per-step loop; the compiler is free
+// to vectorize it. Every verb is exact, so how it is compiled changes wall
+// time and nothing else.
 //
-// Backend selection is COMPILE-TIME, driven by the GCOL_SIMD CMake option:
-//   auto   (default) — best ISA the compiler is already targeting
-//                      (__AVX2__ > __SSE2__ > aarch64 NEON > scalar)
-//   avx2 / sse2 / neon — force the target flags for that ISA
-//   scalar — force the reference implementation (GCOL_SIMD_FORCE_SCALAR)
-// sim::simd_isa() reports the selected backend; bench harnesses stamp it
-// into the gcol-bench meta header so BENCH_*.json trajectory points stay
-// attributable to an ISA.
+// The speed of the paper's algorithms comes from launches, passes over edges
+// and atomics, not from vector width: hand-written SSE2/AVX2/NEON bodies of
+// these verbs measured no better end to end than these loops (DESIGN.md §3f,
+// EXPERIMENTS.md), so there is one implementation and no backend option.
 //
-// The scalar namespace is ALWAYS compiled, verbatim one-word-at-a-time, and
-// is the oracle: every vector backend must agree with it bit-for-bit on any
-// input (property-tested in tests/sim/simd_test.cpp over randomized spans).
-// That is what makes "colors byte-identical between GCOL_SIMD=scalar and
-// the vectorized build" a provable statement rather than a hope — the verbs
-// are exact, so vectorization changes wall time and nothing else.
-//
-// The header also hosts the two architecture shims the substrate needs that
-// are not vector verbs: sim::prefetch (software prefetch ahead of scattered
-// CSR gathers — __builtin_prefetch where available, no-op otherwise) and
-// sim::cpu_relax (the spin-wait pause: _mm_pause on x86, yield on ARM, a
-// compiler fence elsewhere — previously open-coded in thread_pool.cpp).
+// The header also hosts the two architecture shims the substrate needs:
+// sim::prefetch (software prefetch ahead of scattered CSR gathers —
+// __builtin_prefetch where available, no-op otherwise) and sim::cpu_relax
+// (the spin-wait pause: _mm_pause on x86, yield on ARM, a compiler fence
+// elsewhere).
 
 #include <atomic>
 #include <bit>
@@ -41,27 +26,10 @@
 #include <span>
 #include <type_traits>
 
-#if defined(GCOL_SIMD_FORCE_SCALAR)
-#define GCOL_SIMD_ISA_SCALAR 1
-#elif defined(__AVX2__)
-#define GCOL_SIMD_ISA_AVX2 1
-#elif defined(__SSE2__) || defined(_M_X64)
-#define GCOL_SIMD_ISA_SSE2 1
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define GCOL_SIMD_ISA_NEON 1
-#else
-#define GCOL_SIMD_ISA_SCALAR 1
-#endif
-
-// x86 always gets <immintrin.h>: the SSE2/AVX2 backends need the vector
-// intrinsics, and cpu_relax needs _mm_pause even in a forced-scalar build.
 #if defined(__x86_64__) || defined(__i386__) || defined(_M_X64) || \
     defined(_M_IX86)
-#define GCOL_SIMD_ARCH_X86 1
 #include <immintrin.h>
-#endif
-#if defined(GCOL_SIMD_ISA_NEON)
-#include <arm_neon.h>
+#define GCOL_ARCH_X86 1
 #endif
 
 namespace gcol::sim {
@@ -92,7 +60,7 @@ inline constexpr std::int64_t kGatherPrefetchDistance = 16;
 /// fence elsewhere — the portable spelling of the pause instruction
 /// thread_pool.cpp's spin phases sit in.
 inline void cpu_relax() noexcept {
-#if defined(GCOL_SIMD_ARCH_X86)
+#if defined(GCOL_ARCH_X86)
   _mm_pause();
 #elif defined(__aarch64__) || defined(__arm__)
   asm volatile("yield" ::: "memory");
@@ -103,61 +71,27 @@ inline void cpu_relax() noexcept {
 
 namespace simd {
 
-// ---------------------------------------------------------------------------
-// Scalar reference backend — one word per step, no intrinsics. ALWAYS
-// compiled: the dispatch below aliases it when no vector ISA is selected,
-// the property tests use it as the oracle, and the <scalar|simd> micro-
-// benchmarks call it directly for the ablation.
-// ---------------------------------------------------------------------------
-namespace scalar {
-
-inline constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
-
 /// dst[i] = value for every word of dst.
-inline void fill(std::span<std::uint64_t> dst, std::uint64_t value) noexcept {
+constexpr void fill(std::span<std::uint64_t> dst,
+                    std::uint64_t value) noexcept {
   for (std::uint64_t& word : dst) word = value;
 }
 
 /// dst[i] |= src[i]. Spans must be equally sized (and must not partially
 /// overlap; dst == src is fine).
-inline void or_into(std::span<std::uint64_t> dst,
-                    std::span<const std::uint64_t> src) noexcept {
+constexpr void or_into(std::span<std::uint64_t> dst,
+                       std::span<const std::uint64_t> src) noexcept {
   assert(dst.size() == src.size());
   for (std::size_t i = 0; i < dst.size(); ++i) dst[i] |= src[i];
-}
-
-/// dst[i] &= src[i].
-inline void and_into(std::span<std::uint64_t> dst,
-                     std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] &= src[i];
-}
-
-/// dst[i] &= ~src[i] (clear the bits set in src).
-inline void andnot_into(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] &= ~src[i];
-}
-
-/// Bit-blend: dst[i] = (src[i] & mask[i]) | (dst[i] & ~mask[i]) — copies
-/// exactly the mask-selected bits of src into dst.
-inline void masked_copy(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src,
-                        std::span<const std::uint64_t> mask) noexcept {
-  assert(dst.size() == src.size() && dst.size() == mask.size());
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = (src[i] & mask[i]) | (dst[i] & ~mask[i]);
-  }
 }
 
 /// Global index of the lowest ZERO bit across the span (the "minimum unset
 /// color" search), or -1 when every bit is set. Words are scanned in
 /// ascending order, so the result is the global minimum.
-[[nodiscard]] inline std::int64_t first_zero_bit(
+[[nodiscard]] constexpr std::int64_t first_zero_bit(
     std::span<const std::uint64_t> words) noexcept {
   for (std::size_t w = 0; w < words.size(); ++w) {
-    if (words[w] != kAllOnes) {
+    if (words[w] != ~std::uint64_t{0}) {
       return static_cast<std::int64_t>(w) * 64 + std::countr_one(words[w]);
     }
   }
@@ -166,7 +100,7 @@ inline void masked_copy(std::span<std::uint64_t> dst,
 
 /// Index of the first word != 0 (the zero-run skip of a sparse bitmap
 /// traversal), or -1 when the span is all zero.
-[[nodiscard]] inline std::int64_t first_nonzero_word(
+[[nodiscard]] constexpr std::int64_t first_nonzero_word(
     std::span<const std::uint64_t> words) noexcept {
   for (std::size_t w = 0; w < words.size(); ++w) {
     if (words[w] != 0) return static_cast<std::int64_t>(w);
@@ -174,24 +108,8 @@ inline void masked_copy(std::span<std::uint64_t> dst,
   return -1;
 }
 
-/// True when any bit of the span is set.
-[[nodiscard]] inline bool any_set(
-    std::span<const std::uint64_t> words) noexcept {
-  return first_nonzero_word(words) >= 0;
-}
-
-/// True when the spans hold identical words. Sizes must match.
-[[nodiscard]] inline bool equal(std::span<const std::uint64_t> a,
-                                std::span<const std::uint64_t> b) noexcept {
-  assert(a.size() == b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
 /// Total set bits across the span (popcount-accumulate).
-[[nodiscard]] inline std::int64_t popcount(
+[[nodiscard]] constexpr std::int64_t popcount(
     std::span<const std::uint64_t> words) noexcept {
   std::int64_t total = 0;
   for (const std::uint64_t word : words) total += std::popcount(word);
@@ -201,7 +119,7 @@ inline void masked_copy(std::span<std::uint64_t> dst,
 /// Wrapping sum of the words (unsigned overflow is defined, and matches
 /// two's-complement signed accumulation bit-for-bit — which is why the
 /// int64 scan/reduce partials can run through this verb).
-[[nodiscard]] inline std::uint64_t sum(
+[[nodiscard]] constexpr std::uint64_t sum(
     std::span<const std::uint64_t> values) noexcept {
   std::uint64_t acc = 0;
   for (const std::uint64_t value : values) acc += value;
@@ -210,573 +128,15 @@ inline void masked_copy(std::span<std::uint64_t> dst,
 
 /// Sum of a byte span — the flag-count of a compaction pass (flags are
 /// 0/1 bytes, so the sum is the kept count).
-[[nodiscard]] inline std::int64_t sum_bytes(
+[[nodiscard]] constexpr std::int64_t sum_bytes(
     std::span<const std::uint8_t> bytes) noexcept {
   std::int64_t acc = 0;
   for (const std::uint8_t byte : bytes) acc += byte;
   return acc;
 }
 
-}  // namespace scalar
-
-#if defined(GCOL_SIMD_ISA_AVX2)
-// ---------------------------------------------------------------------------
-// AVX2 backend — 4 words (256 bits) per step. Searches run the wide compare
-// until the first interesting block, then let the scalar loop pinpoint the
-// word: exactness comes from the scalar epilogue, speed from skipping 4
-// boring words per compare.
-// ---------------------------------------------------------------------------
-namespace avx2 {
-
-inline constexpr std::size_t kWords = 4;
-
-[[nodiscard]] inline __m256i load(const std::uint64_t* p) noexcept {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-
-inline void store(std::uint64_t* p, __m256i v) noexcept {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-
-inline void fill(std::span<std::uint64_t> dst, std::uint64_t value) noexcept {
-  const __m256i v = _mm256_set1_epi64x(static_cast<long long>(value));
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) store(dst.data() + i, v);
-  for (; i < dst.size(); ++i) dst[i] = value;
-}
-
-inline void or_into(std::span<std::uint64_t> dst,
-                    std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    store(dst.data() + i,
-          _mm256_or_si256(load(dst.data() + i), load(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] |= src[i];
-}
-
-inline void and_into(std::span<std::uint64_t> dst,
-                     std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    store(dst.data() + i,
-          _mm256_and_si256(load(dst.data() + i), load(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] &= src[i];
-}
-
-inline void andnot_into(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    // _mm256_andnot_si256(a, b) computes ~a & b.
-    store(dst.data() + i,
-          _mm256_andnot_si256(load(src.data() + i), load(dst.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] &= ~src[i];
-}
-
-inline void masked_copy(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src,
-                        std::span<const std::uint64_t> mask) noexcept {
-  assert(dst.size() == src.size() && dst.size() == mask.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    const __m256i m = load(mask.data() + i);
-    store(dst.data() + i,
-          _mm256_or_si256(_mm256_and_si256(load(src.data() + i), m),
-                          _mm256_andnot_si256(m, load(dst.data() + i))));
-  }
-  for (; i < dst.size(); ++i) {
-    dst[i] = (src[i] & mask[i]) | (dst[i] & ~mask[i]);
-  }
-}
-
-[[nodiscard]] inline std::int64_t first_zero_bit(
-    std::span<const std::uint64_t> words) noexcept {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const __m256i eq = _mm256_cmpeq_epi64(load(words.data() + i), ones);
-    if (static_cast<unsigned>(_mm256_movemask_epi8(eq)) != 0xFFFFFFFFu) break;
-  }
-  for (; i < words.size(); ++i) {
-    if (words[i] != scalar::kAllOnes) {
-      return static_cast<std::int64_t>(i) * 64 + std::countr_one(words[i]);
-    }
-  }
-  return -1;
-}
-
-[[nodiscard]] inline std::int64_t first_nonzero_word(
-    std::span<const std::uint64_t> words) noexcept {
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const __m256i v = load(words.data() + i);
-    if (_mm256_testz_si256(v, v) == 0) break;
-  }
-  for (; i < words.size(); ++i) {
-    if (words[i] != 0) return static_cast<std::int64_t>(i);
-  }
-  return -1;
-}
-
-[[nodiscard]] inline bool any_set(
-    std::span<const std::uint64_t> words) noexcept {
-  return first_nonzero_word(words) >= 0;
-}
-
-[[nodiscard]] inline bool equal(std::span<const std::uint64_t> a,
-                                std::span<const std::uint64_t> b) noexcept {
-  assert(a.size() == b.size());
-  std::size_t i = 0;
-  for (; i + kWords <= a.size(); i += kWords) {
-    const __m256i x = _mm256_xor_si256(load(a.data() + i), load(b.data() + i));
-    if (_mm256_testz_si256(x, x) == 0) return false;
-  }
-  for (; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-[[nodiscard]] inline std::int64_t popcount(
-    std::span<const std::uint64_t> words) noexcept {
-  // -mavx2 implies POPCNT, so std::popcount is one hardware instruction;
-  // a 4-way unroll keeps the port busy without a shuffle-heavy table pass.
-  std::int64_t total = 0;
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    total += std::popcount(words[i]) + std::popcount(words[i + 1]) +
-             std::popcount(words[i + 2]) + std::popcount(words[i + 3]);
-  }
-  for (; i < words.size(); ++i) total += std::popcount(words[i]);
-  return total;
-}
-
-[[nodiscard]] inline std::uint64_t sum(
-    std::span<const std::uint64_t> values) noexcept {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + kWords <= values.size(); i += kWords) {
-    acc = _mm256_add_epi64(acc, load(values.data() + i));
-  }
-  alignas(32) std::uint64_t lanes[kWords];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < values.size(); ++i) total += values[i];
-  return total;
-}
-
-[[nodiscard]] inline std::int64_t sum_bytes(
-    std::span<const std::uint8_t> bytes) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
-  std::size_t i = 0;
-  for (; i + 32 <= bytes.size(); i += 32) {
-    // SAD against zero sums each 8-byte group into a 64-bit lane.
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bytes.data() + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  alignas(32) std::uint64_t lanes[kWords];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t total =
-      static_cast<std::int64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < bytes.size(); ++i) total += bytes[i];
-  return total;
-}
-
-}  // namespace avx2
-#endif  // GCOL_SIMD_ISA_AVX2
-
-#if defined(GCOL_SIMD_ISA_SSE2)
-// ---------------------------------------------------------------------------
-// SSE2 backend — 2 words (128 bits) per step, the x86-64 baseline (always
-// available, no extra target flags). SSE2 has no 64-bit compare, so the
-// search predicates go byte-granular: a word is all-ones iff all 8 of its
-// bytes compare equal to 0xFF, which _mm_cmpeq_epi8 + movemask answers for
-// both words at once.
-// ---------------------------------------------------------------------------
-namespace sse2 {
-
-inline constexpr std::size_t kWords = 2;
-
-[[nodiscard]] inline __m128i load(const std::uint64_t* p) noexcept {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-
-inline void store(std::uint64_t* p, __m128i v) noexcept {
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-}
-
-inline void fill(std::span<std::uint64_t> dst, std::uint64_t value) noexcept {
-  const __m128i v = _mm_set1_epi64x(static_cast<long long>(value));
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) store(dst.data() + i, v);
-  for (; i < dst.size(); ++i) dst[i] = value;
-}
-
-inline void or_into(std::span<std::uint64_t> dst,
-                    std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    store(dst.data() + i,
-          _mm_or_si128(load(dst.data() + i), load(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] |= src[i];
-}
-
-inline void and_into(std::span<std::uint64_t> dst,
-                     std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    store(dst.data() + i,
-          _mm_and_si128(load(dst.data() + i), load(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] &= src[i];
-}
-
-inline void andnot_into(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    store(dst.data() + i,
-          _mm_andnot_si128(load(src.data() + i), load(dst.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] &= ~src[i];
-}
-
-inline void masked_copy(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src,
-                        std::span<const std::uint64_t> mask) noexcept {
-  assert(dst.size() == src.size() && dst.size() == mask.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    const __m128i m = load(mask.data() + i);
-    store(dst.data() + i,
-          _mm_or_si128(_mm_and_si128(load(src.data() + i), m),
-                       _mm_andnot_si128(m, load(dst.data() + i))));
-  }
-  for (; i < dst.size(); ++i) {
-    dst[i] = (src[i] & mask[i]) | (dst[i] & ~mask[i]);
-  }
-}
-
-[[nodiscard]] inline std::int64_t first_zero_bit(
-    std::span<const std::uint64_t> words) noexcept {
-  const __m128i ones = _mm_set1_epi8(static_cast<char>(0xFF));
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const __m128i eq = _mm_cmpeq_epi8(load(words.data() + i), ones);
-    if (static_cast<unsigned>(_mm_movemask_epi8(eq)) != 0xFFFFu) break;
-  }
-  for (; i < words.size(); ++i) {
-    if (words[i] != scalar::kAllOnes) {
-      return static_cast<std::int64_t>(i) * 64 + std::countr_one(words[i]);
-    }
-  }
-  return -1;
-}
-
-[[nodiscard]] inline std::int64_t first_nonzero_word(
-    std::span<const std::uint64_t> words) noexcept {
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const __m128i eq = _mm_cmpeq_epi8(load(words.data() + i), zero);
-    if (static_cast<unsigned>(_mm_movemask_epi8(eq)) != 0xFFFFu) break;
-  }
-  for (; i < words.size(); ++i) {
-    if (words[i] != 0) return static_cast<std::int64_t>(i);
-  }
-  return -1;
-}
-
-[[nodiscard]] inline bool any_set(
-    std::span<const std::uint64_t> words) noexcept {
-  return first_nonzero_word(words) >= 0;
-}
-
-[[nodiscard]] inline bool equal(std::span<const std::uint64_t> a,
-                                std::span<const std::uint64_t> b) noexcept {
-  assert(a.size() == b.size());
-  std::size_t i = 0;
-  for (; i + kWords <= a.size(); i += kWords) {
-    const __m128i eq =
-        _mm_cmpeq_epi8(load(a.data() + i), load(b.data() + i));
-    if (static_cast<unsigned>(_mm_movemask_epi8(eq)) != 0xFFFFu) return false;
-  }
-  for (; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-[[nodiscard]] inline std::int64_t popcount(
-    std::span<const std::uint64_t> words) noexcept {
-  // Baseline x86-64 has no POPCNT instruction; the vector Wilkes-Wheeler
-  // reduction + SAD folds 128 bits per step where scalar std::popcount
-  // falls back to the 12-op bit-twiddle per word.
-  const __m128i m1 = _mm_set1_epi8(0x55);
-  const __m128i m2 = _mm_set1_epi8(0x33);
-  const __m128i m4 = _mm_set1_epi8(0x0F);
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc = zero;
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    __m128i v = load(words.data() + i);
-    v = _mm_sub_epi8(v, _mm_and_si128(_mm_srli_epi64(v, 1), m1));
-    v = _mm_add_epi8(_mm_and_si128(v, m2),
-                     _mm_and_si128(_mm_srli_epi64(v, 2), m2));
-    v = _mm_and_si128(_mm_add_epi8(v, _mm_srli_epi64(v, 4)), m4);
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(v, zero));
-  }
-  alignas(16) std::uint64_t lanes[kWords];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  std::int64_t total = static_cast<std::int64_t>(lanes[0] + lanes[1]);
-  for (; i < words.size(); ++i) total += std::popcount(words[i]);
-  return total;
-}
-
-[[nodiscard]] inline std::uint64_t sum(
-    std::span<const std::uint64_t> values) noexcept {
-  __m128i acc = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + kWords <= values.size(); i += kWords) {
-    acc = _mm_add_epi64(acc, load(values.data() + i));
-  }
-  alignas(16) std::uint64_t lanes[kWords];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[1];
-  for (; i < values.size(); ++i) total += values[i];
-  return total;
-}
-
-[[nodiscard]] inline std::int64_t sum_bytes(
-    std::span<const std::uint8_t> bytes) noexcept {
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc = zero;
-  std::size_t i = 0;
-  for (; i + 16 <= bytes.size(); i += 16) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes.data() + i));
-    acc = _mm_add_epi64(acc, _mm_sad_epu8(v, zero));
-  }
-  alignas(16) std::uint64_t lanes[kWords];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  std::int64_t total = static_cast<std::int64_t>(lanes[0] + lanes[1]);
-  for (; i < bytes.size(); ++i) total += bytes[i];
-  return total;
-}
-
-}  // namespace sse2
-#endif  // GCOL_SIMD_ISA_SSE2
-
-#if defined(GCOL_SIMD_ISA_NEON)
-// ---------------------------------------------------------------------------
-// NEON backend (aarch64) — 2 words (128 bits) per step. vcnt counts bits
-// per byte; the pairwise-widening ladder folds bytes up to 64-bit lanes.
-// ---------------------------------------------------------------------------
-namespace neon {
-
-inline constexpr std::size_t kWords = 2;
-
-inline void fill(std::span<std::uint64_t> dst, std::uint64_t value) noexcept {
-  const uint64x2_t v = vdupq_n_u64(value);
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) vst1q_u64(dst.data() + i, v);
-  for (; i < dst.size(); ++i) dst[i] = value;
-}
-
-inline void or_into(std::span<std::uint64_t> dst,
-                    std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    vst1q_u64(dst.data() + i,
-              vorrq_u64(vld1q_u64(dst.data() + i), vld1q_u64(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] |= src[i];
-}
-
-inline void and_into(std::span<std::uint64_t> dst,
-                     std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    vst1q_u64(dst.data() + i,
-              vandq_u64(vld1q_u64(dst.data() + i), vld1q_u64(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] &= src[i];
-}
-
-inline void andnot_into(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src) noexcept {
-  assert(dst.size() == src.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    // vbicq_u64(a, b) computes a & ~b.
-    vst1q_u64(dst.data() + i,
-              vbicq_u64(vld1q_u64(dst.data() + i), vld1q_u64(src.data() + i)));
-  }
-  for (; i < dst.size(); ++i) dst[i] &= ~src[i];
-}
-
-inline void masked_copy(std::span<std::uint64_t> dst,
-                        std::span<const std::uint64_t> src,
-                        std::span<const std::uint64_t> mask) noexcept {
-  assert(dst.size() == src.size() && dst.size() == mask.size());
-  std::size_t i = 0;
-  for (; i + kWords <= dst.size(); i += kWords) {
-    const uint64x2_t m = vld1q_u64(mask.data() + i);
-    vst1q_u64(dst.data() + i,
-              vorrq_u64(vandq_u64(vld1q_u64(src.data() + i), m),
-                        vbicq_u64(vld1q_u64(dst.data() + i), m)));
-  }
-  for (; i < dst.size(); ++i) {
-    dst[i] = (src[i] & mask[i]) | (dst[i] & ~mask[i]);
-  }
-}
-
-[[nodiscard]] inline std::int64_t first_zero_bit(
-    std::span<const std::uint64_t> words) noexcept {
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const uint64x2_t v = vld1q_u64(words.data() + i);
-    if ((vgetq_lane_u64(v, 0) & vgetq_lane_u64(v, 1)) != scalar::kAllOnes) {
-      break;
-    }
-  }
-  for (; i < words.size(); ++i) {
-    if (words[i] != scalar::kAllOnes) {
-      return static_cast<std::int64_t>(i) * 64 + std::countr_one(words[i]);
-    }
-  }
-  return -1;
-}
-
-[[nodiscard]] inline std::int64_t first_nonzero_word(
-    std::span<const std::uint64_t> words) noexcept {
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const uint64x2_t v = vld1q_u64(words.data() + i);
-    if ((vgetq_lane_u64(v, 0) | vgetq_lane_u64(v, 1)) != 0) break;
-  }
-  for (; i < words.size(); ++i) {
-    if (words[i] != 0) return static_cast<std::int64_t>(i);
-  }
-  return -1;
-}
-
-[[nodiscard]] inline bool any_set(
-    std::span<const std::uint64_t> words) noexcept {
-  return first_nonzero_word(words) >= 0;
-}
-
-[[nodiscard]] inline bool equal(std::span<const std::uint64_t> a,
-                                std::span<const std::uint64_t> b) noexcept {
-  assert(a.size() == b.size());
-  std::size_t i = 0;
-  for (; i + kWords <= a.size(); i += kWords) {
-    const uint64x2_t x =
-        veorq_u64(vld1q_u64(a.data() + i), vld1q_u64(b.data() + i));
-    if ((vgetq_lane_u64(x, 0) | vgetq_lane_u64(x, 1)) != 0) return false;
-  }
-  for (; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-[[nodiscard]] inline std::int64_t popcount(
-    std::span<const std::uint64_t> words) noexcept {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + kWords <= words.size(); i += kWords) {
-    const uint8x16_t bits =
-        vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(words.data() + i)));
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(bits))));
-  }
-  std::int64_t total = static_cast<std::int64_t>(vgetq_lane_u64(acc, 0) +
-                                                 vgetq_lane_u64(acc, 1));
-  for (; i < words.size(); ++i) total += std::popcount(words[i]);
-  return total;
-}
-
-[[nodiscard]] inline std::uint64_t sum(
-    std::span<const std::uint64_t> values) noexcept {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + kWords <= values.size(); i += kWords) {
-    acc = vaddq_u64(acc, vld1q_u64(values.data() + i));
-  }
-  std::uint64_t total = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; i < values.size(); ++i) total += values[i];
-  return total;
-}
-
-[[nodiscard]] inline std::int64_t sum_bytes(
-    std::span<const std::uint8_t> bytes) noexcept {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 16 <= bytes.size(); i += 16) {
-    const uint8x16_t v = vld1q_u8(bytes.data() + i);
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(v))));
-  }
-  std::int64_t total = static_cast<std::int64_t>(vgetq_lane_u64(acc, 0) +
-                                                 vgetq_lane_u64(acc, 1));
-  for (; i < bytes.size(); ++i) total += bytes[i];
-  return total;
-}
-
-}  // namespace neon
-#endif  // GCOL_SIMD_ISA_NEON
-
-// ---------------------------------------------------------------------------
-// Dispatch: the compile-selected backend under the plain simd:: names. All
-// call sites use these; the backend namespaces stay reachable for the
-// property tests and the <scalar|simd> micro-benchmark ablations.
-// ---------------------------------------------------------------------------
-#if defined(GCOL_SIMD_ISA_AVX2)
-namespace active = avx2;
-inline constexpr const char* kIsaName = "avx2";
-inline constexpr std::int64_t kLaneWords = 4;
-#elif defined(GCOL_SIMD_ISA_SSE2)
-namespace active = sse2;
-inline constexpr const char* kIsaName = "sse2";
-inline constexpr std::int64_t kLaneWords = 2;
-#elif defined(GCOL_SIMD_ISA_NEON)
-namespace active = neon;
-inline constexpr const char* kIsaName = "neon";
-inline constexpr std::int64_t kLaneWords = 2;
-#else
-namespace active = scalar;
-inline constexpr const char* kIsaName = "scalar";
-inline constexpr std::int64_t kLaneWords = 1;
-#endif
-
-using active::and_into;
-using active::andnot_into;
-using active::any_set;
-using active::equal;
-using active::fill;
-using active::first_nonzero_word;
-using active::first_zero_bit;
-using active::masked_copy;
-using active::or_into;
-using active::popcount;
-using active::sum;
-using active::sum_bytes;
-
-/// Wrapping sum over a span of any element type, routed through the wide
-/// 64-bit sum when the element is a 64-bit integer (signed accumulation is
+/// Wrapping sum over a span of any element type, routed through the 64-bit
+/// sum when the element is a 64-bit integer (signed accumulation is
 /// bit-identical under two's complement — signed/unsigned pairs may alias).
 /// The scan/reduce partials phases stream through this.
 template <typename T>
@@ -794,12 +154,4 @@ template <typename T>
 }
 
 }  // namespace simd
-
-/// The SIMD backend this build selected ("avx2", "sse2", "neon" or
-/// "scalar") — stamped into the gcol-bench-v4 meta header so every
-/// BENCH_*.json records which vector unit produced its numbers.
-[[nodiscard]] inline const char* simd_isa() noexcept {
-  return simd::kIsaName;
-}
-
 }  // namespace gcol::sim
