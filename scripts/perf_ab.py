@@ -20,14 +20,21 @@ against the metric's bound:
   ok      none of the above
 
 `--aa` runs one root against itself (an A/A control: expect no verdict
-other than ok). `--log FILE` appends every run's result as one JSON line;
-`--from-log FILE` re-renders the table from such a log without running
-anything. `--self-test` checks the statistics and verdicts on canned runs.
+other than ok). `--pad N` is the layout control: it copies the one root
+to `ROOT-padN` beside it (replacing any earlier copy), appends N bytes of
+never-executed padding to .text.unlikely in one library source, and runs
+the root against that copy. .text.unlikely is where `[[gnu::cold]]` code
+goes and the GNU linker places it ahead of the hot .text, so the copy moves
+every hot function by N bytes and changes nothing else: a verdict there is
+code placement, not code. `--log FILE` appends every run's result as one
+JSON line; `--from-log FILE` re-renders the table from such a log without
+running anything. `--self-test` checks the statistics and verdicts on canned runs.
 
 Usage (from any directory):
   perf_ab.py PARENT_ROOT CHANGE_ROOT --workload powerlaw_rmat --pairs 10
              --first-seed 101 [--seconds 20] [--log ab.jsonl]
   perf_ab.py ROOT --aa --workload fem_mesh --pairs 10 --first-seed 1
+  perf_ab.py ROOT --pad 96 --workload batch_small --pairs 10 --first-seed 1
   perf_ab.py --from-log ab.jsonl [--benchmark BENCHMARK.json]
   perf_ab.py --self-test
 """
@@ -37,13 +44,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 GAIN_WIN_SHARE = 0.9
+# Library source the layout control pads: always linked, never hot.
+PAD_FILE = Path("src/core/registry.cpp")
+# Top-level entries a padded copy leaves behind: history and build trees.
+PAD_SKIP = {".git", ".bench_build", "build"}
 
 
 def load_metrics(benchmark_path: Path) -> list[dict]:
@@ -160,6 +173,43 @@ def render(rows: list[dict], notes: list[str]) -> str:
     return "\n".join(lines + [""] + notes)
 
 
+def pad_source(text: str, pad_bytes: int) -> str:
+    """Appends `pad_bytes` bytes of never-executed padding to .text.unlikely."""
+    return text + (
+        "\n// Layout control (scripts/perf_ab.py --pad): unused padding.\n"
+        'asm(".pushsection .text.unlikely,\\"ax\\",@progbits\\n"\n'
+        f'    ".skip {pad_bytes}\\n"\n'
+        '    ".popsection");\n')
+
+
+def make_padded_copy(root: Path, pad_bytes: int, dest: Path) -> Path:
+    """Copies `root` to `dest` (replacing it) with PAD_FILE padded."""
+    if dest.exists():
+        shutil.rmtree(dest)
+    shutil.copytree(root, dest, ignore=lambda where, names: [
+        name for name in names if Path(where) == root and name in PAD_SKIP])
+    target = dest / PAD_FILE
+    target.write_text(pad_source(target.read_text(), pad_bytes))
+    return dest
+
+
+def unlikely_bytes(source: str, workdir: Path) -> int | None:
+    """Size of .text.unlikely after compiling `source`, or None without g++."""
+    if shutil.which("g++") is None or shutil.which("size") is None:
+        return None
+    src, obj = workdir / "pad.cpp", workdir / "pad.o"
+    src.write_text(source)
+    subprocess.run(["g++", "-std=c++20", "-O2", "-c", str(src), "-o",
+                    str(obj)], check=True)
+    listing = subprocess.run(["size", "-A", str(obj)], check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
+    for line in listing.splitlines():
+        fields = line.split()
+        if fields and fields[0] == ".text.unlikely":
+            return int(fields[1])
+    return 0
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int):
     command = [sys.executable, str(root / "perfbench" / "run.py"),
                "--workload", workload, "--seed", str(seed),
@@ -257,6 +307,28 @@ def self_test() -> int:
     ]
     table = render(rows, notes)
     checks.append(("| gain | greedy_ms | 20 | 10 | −50.0% |" in table, True))
+
+    # The layout control adds exactly N bytes to .text.unlikely, and the
+    # padded copy differs from its root in PAD_FILE alone.
+    plain = "[[gnu::cold]] int rare(int x) { return x * 3; }\n"
+    checks.append((pad_source(plain, 96).startswith(plain), True))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        before = unlikely_bytes(plain, tmp)
+        if before is not None:
+            checks.append((unlikely_bytes(pad_source(plain, 96), tmp) - before,
+                           96))
+        root = tmp / "root"
+        (root / PAD_FILE).parent.mkdir(parents=True)
+        (root / PAD_FILE).write_text(plain)
+        (root / "README.md").write_text("readme\n")
+        (root / ".bench_build").mkdir()
+        (root / "src" / "build").mkdir()
+        copy = make_padded_copy(root, 32, tmp / "copy")
+        checks.append(((copy / PAD_FILE).read_text(), pad_source(plain, 32)))
+        checks.append(((copy / "README.md").read_text(), "readme\n"))
+        checks.append(((copy / ".bench_build").exists(), False))
+        checks.append(((copy / "src" / "build").is_dir(), True))
     failures = [(i, got_value, want) for i, (got_value, want)
                 in enumerate(checks) if got_value != want]
     for index, got_value, want in failures:
@@ -278,6 +350,9 @@ def main() -> int:
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--aa", action="store_true",
                         help="run the one root against itself")
+    parser.add_argument("--pad", type=int, metavar="N",
+                        help="run the one root against a copy of it whose "
+                        "hot code sits N bytes later")
     parser.add_argument("--log", help="append each run as a JSON line")
     parser.add_argument("--from-log", help="render a log; run nothing")
     parser.add_argument("--benchmark", type=Path,
@@ -292,15 +367,22 @@ def main() -> int:
             runs = [json.loads(line) for line in f if line.strip()]
         benchmark = args.benchmark or Path("BENCHMARK.json")
     else:
-        expected = 1 if args.aa else 2
+        if args.aa and args.pad is not None:
+            parser.error("--aa and --pad exclude each other")
+        expected = 1 if args.aa or args.pad is not None else 2
         if len(args.roots) != expected or not args.workload:
             parser.error(f"need {expected} root(s) and at least one "
                          "--workload")
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
+        if args.pad is not None and args.pad < 1:
+            parser.error("--pad must be >= 1")
         roots = tuple(root.resolve() for root in args.roots)
         if args.aa:
             roots = (roots[0], roots[0])
+        if args.pad is not None:
+            dest = roots[0].with_name(f"{roots[0].name}-pad{args.pad}")
+            roots = (roots[0], make_padded_copy(roots[0], args.pad, dest))
         benchmark = args.benchmark or roots[0] / "BENCHMARK.json"
         runs = run_pairs(roots, args.workload, args.pairs, args.first_seed,
                          args.seconds, args.log)

@@ -7,12 +7,13 @@
 // report's algorithm descriptions.
 //
 // JPL (Jones-Plassmann-Luby): one independent set per iteration, selected by
-// a per-iteration re-randomized hash — no stored weight array, so the only
-// memory traffic is colors + adjacency. CC (Cohen-Castonguay): several hash
-// functions per iteration, each yielding a max- and a min-independent set,
-// so up to 2*num_hashes colors are assigned per iteration — fewer, cheaper
-// iterations at a steep quality cost (the paper measures ~5x more colors
-// than GraphBLAST MIS).
+// a per-iteration re-randomized hash — no random-weight array persists
+// across rounds. CC (Cohen-Castonguay): several hash functions per
+// iteration, each yielding a max- and a min-independent set, so up to
+// 2*num_hashes colors are assigned per iteration — fewer, cheaper iterations
+// at a steep quality cost (the paper measures ~5x more colors than
+// GraphBLAST MIS). Both hash each live vertex once per round into a
+// per-vertex buffer that its neighbors gather (DESIGN.md §3b).
 
 #include "core/result.hpp"
 #include "graph/csr.hpp"

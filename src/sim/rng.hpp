@@ -54,8 +54,8 @@ class CounterRng {
 };
 
 /// The per-(iteration, vertex) hash the Naumov JPL/CC baselines use instead
-/// of a stored random-weight array: each coloring iteration re-randomizes
-/// priorities without a memory pass.
+/// of a fixed random weight: each coloring iteration re-randomizes
+/// priorities.
 [[nodiscard]] constexpr std::uint32_t iteration_hash(
     std::uint64_t seed, std::uint32_t iteration, std::int64_t vertex) noexcept {
   return static_cast<std::uint32_t>(
