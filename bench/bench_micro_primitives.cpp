@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/grb_common.hpp"
 #include "core/palette.hpp"
 #include "graph/build.hpp"
 #include "graph/generators/rgg.hpp"
@@ -442,6 +443,76 @@ void BM_VxmPushSparseFrontier(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VxmPushSparseFrontier)->Arg(4)->Arg(64)->Arg(1024);
+
+// The grb_is select (Alg. 2 l.8-9) as the colorers run it: a deferred
+// max-times pull masked by the weights, compared GT against them and
+// mirrored into frontier bytes, all in one launch. BM_HandSelect runs the
+// same launch (grb::detail::count_positions) with a hand-written loop that
+// stops at the first neighbor weighing at least as much, so the ratio of
+// the two is what the expression layer costs. Argument 0 is R-MAT scale 14
+// (edge factor 16), 1 an 8192-vertex RGG; weights are a first round's
+// (every vertex live). Run at GCOL_THREADS=1 and 2.
+struct SelectInput {
+  graph::Csr csr;
+  grb::Vector<color::detail::Weight> weight;
+  grb::Vector<std::uint8_t> active;
+
+  explicit SelectInput(std::int64_t which)
+      : csr(graph::build_csr(which == 0
+                                 ? graph::generate_rmat(14, 16, {.seed = 1})
+                                 : graph::generate_rgg(13, {.seed = 1}))),
+        weight(csr.num_vertices),
+        active(csr.num_vertices) {
+    color::detail::set_random_weights(weight, color::Options{});
+    active.fill(0);
+  }
+};
+
+void BM_DeferredSelect(benchmark::State& state) {
+  SelectInput in(state.range(0));
+  const grb::Matrix<color::detail::Weight> a(in.csr);
+  auto& device = sim::Device::instance();
+  for (auto _ : state) {
+    const auto nbr_max = grb::deferred::vxm(
+        &in.weight, grb::max_times_semiring<color::detail::Weight>(),
+        in.weight, a);
+    benchmark::DoNotOptimize(color::detail::mirror_count(
+        device, "bench::deferred_select",
+        grb::deferred::eWiseAdd(grb::Greater{}, in.weight, nbr_max),
+        in.active));
+  }
+  state.SetItemsProcessed(state.iterations() * in.csr.num_vertices);
+}
+BENCHMARK(BM_DeferredSelect)->Arg(0)->Arg(1);
+
+void BM_HandSelect(benchmark::State& state) {
+  SelectInput in(state.range(0));
+  auto& device = sim::Device::instance();
+  const color::detail::Weight* const w = in.weight.dense_values().data();
+  const eid_t* const offsets = in.csr.row_offsets.data();
+  const vid_t* const cols = in.csr.col_indices.data();
+  std::uint8_t* const out = in.active.dense_values().data();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grb::detail::count_positions(
+        device, "bench::hand_select", in.csr.num_vertices,
+        [=](grb::Index i) {
+          const auto v = static_cast<std::size_t>(i);
+          const color::detail::Weight mine = w[v];
+          bool set = mine != 0;
+          for (eid_t e = offsets[v]; set && e < offsets[v + 1]; ++e) {
+            set = w[static_cast<std::size_t>(cols[e])] < mine;
+          }
+          out[v] = set ? 1 : 0;
+          return set;
+        },
+        // Per position: its weight and row-offset pair, and the byte.
+        sim::Traffic{static_cast<std::int64_t>(sizeof(color::detail::Weight) +
+                                               2 * sizeof(eid_t)),
+                     1}));
+  }
+  state.SetItemsProcessed(state.iterations() * in.csr.num_vertices);
+}
+BENCHMARK(BM_HandSelect)->Arg(0)->Arg(1);
 
 }  // namespace
 

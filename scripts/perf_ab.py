@@ -16,7 +16,9 @@ against the metric's bound:
   worse   the change's median is worse than the parent's by more than the bound
   spread  a side's IQR over its median exceeds the bound (too noisy to tell)
   gain    the change won at least 9 in 10 pairs and its median is better by
-          more than the parent's IQR
+          more than the parent's IQR and by more than the bound
+  gain<bound  as gain, but the median moved no more than the bound: a real
+          move, yet too small to claim against that bound
   ok      none of the above
 
 `--aa` runs one root against itself (an A/A control: expect no verdict
@@ -89,7 +91,9 @@ def verdict(metric: dict, parent: list[float], change: list[float],
         return "spread"
     if (wins >= math.ceil(GAIN_WIN_SHARE * len(parent)) and
             -worsening > parent_q3 - parent_q1):
-        return "gain"
+        if parent_median and -worsening / abs(parent_median) > metric["bound"]:
+            return "gain"
+        return "gain<bound"
     return "ok"
 
 
@@ -267,6 +271,9 @@ def self_test() -> int:
     parent = [20.0, 19.0, 21.0, 20.5, 19.5, 20.0, 19.8, 20.2, 20.1, 19.9]
     runs = runs_for("gain", [result(v) for v in parent],
                     [result(v / 2) for v in parent])
+    # Wins every pair and beats the parent's IQR, but by 10% < the bound.
+    runs += runs_for("small", [result(v) for v in parent],
+                     [result(v * 0.9) for v in parent])
     runs += runs_for("worse", [result(v) for v in parent],
                      [result(v * 1.5) for v in parent])
     runs += runs_for("spread", [result(v) for v in parent],
@@ -292,6 +299,8 @@ def self_test() -> int:
         (round(got[("gain", "greedy_ms")]["delta"], 6), -0.5),
         (got[("gain", "colors")]["verdict"], "ok"),
         (got[("gain", "colors")]["wins"], 0),
+        (got[("small", "greedy_ms")]["verdict"], "gain<bound"),
+        (got[("small", "greedy_ms")]["wins"], 10),
         (got[("worse", "greedy_ms")]["verdict"], "worse"),
         (got[("spread", "greedy_ms")]["verdict"], "spread"),
         (got[("same", "greedy_ms")]["verdict"], "ok"),

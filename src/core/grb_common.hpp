@@ -50,6 +50,8 @@ inline grb::Info set_random_weights(grb::Vector<Weight>& weight,
 /// launch) into dense `active` bytes, set where an entry is nonzero, and
 /// returns their count: the round's "succ", equal to the Plus-reduce of the
 /// booleanized frontier. `active` is the round's only materialized vector.
+/// The chain's evaluator is held by value in the launch body, where the
+/// byte stores cannot alias it.
 template <typename Frontier>
 std::int64_t mirror_count(sim::Device& device, const char* name,
                           Frontier&& frontier,
@@ -59,9 +61,9 @@ std::int64_t mirror_count(sim::Device& device, const char* name,
   std::uint8_t* const out = active.dense_values().data();
   return grb::detail::count_positions(
       device, name, active.size(),
-      [out, &expr](grb::Index i) {
-        grb::detail::value_of<decltype(expr)> value{};
-        const bool set = expr.at(i, value) && value != 0;
+      [out, eval = expr.evaluator()](grb::Index i) {
+        grb::detail::value_of<decltype(eval)> value{};
+        const bool set = eval.at(i, value) && value != 0;
         out[i] = set ? 1 : 0;
         return set;
       },

@@ -1,5 +1,6 @@
 #include "core/grb_jpl.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <span>
 
@@ -8,7 +9,6 @@
 #include "core/verify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/advance.hpp"
 #include "sim/bitops.hpp"
 #include "sim/scratch.hpp"
 #include "sim/simd.hpp"
@@ -76,53 +76,74 @@ std::int32_t jp_min_color_pure(const grb::Matrix<Weight>& a,
   return static_cast<std::int32_t>(min_color);
 }
 
-/// The same scalar, fused: ONE edge-balanced launch ORs the colors of the
-/// frontier's colored neighbors into per-worker bit masks (64 colors per
-/// word, scratch-arena backed), then the serial slot combine — the exact
-/// shape of every reduce — takes the lowest zero bit >= 1. Colors assigned
-/// so far are <= max_color, so a window of max_color + 2 bits always
-/// contains the answer; scratch is O(workers * max_color / 64) words
-/// instead of the pure path's three O(n) vectors. `active` is the frontier
-/// as mirror_count left it (one byte per vertex, set = member).
+/// The same scalar, fused: ONE launch ORs the colors of the frontier's
+/// colored neighbors into per-worker bit masks (64 colors per word,
+/// scratch-arena backed), then the serial slot combine — the exact shape of
+/// every reduce — takes the lowest zero bit >= 1. Colors assigned so far are
+/// <= max_color, so a window of max_color + 2 bits always contains the
+/// answer; scratch is O(workers * max_color / 64) words instead of the pure
+/// path's three O(n) vectors. `active` is the frontier as mirror_count left
+/// it (one byte per vertex, set = member). Rows are claimed in dynamic
+/// chunks and only frontier rows read their neighbors, so a round costs a
+/// byte per vertex plus the frontier's edges, not a sweep of the whole CSR.
 std::int32_t jp_min_color_fused(sim::Device& device, const graph::Csr& csr,
                                 const grb::Vector<std::int32_t>& c,
                                 std::span<const std::uint8_t> active,
                                 std::int32_t max_color) {
-  const std::span<const std::int32_t> cv = c.dense_values();
+  const std::int32_t* const cv = c.dense_values().data();
+  const eid_t* const offsets = csr.row_offsets.data();
+  const vid_t* const cols = csr.col_indices.data();
+  const std::uint8_t* const member = active.data();
   const std::size_t words =
       sim::word_index(static_cast<std::int64_t>(max_color) + 1) + 1;
   const unsigned workers = device.num_workers();
   const std::span<std::uint64_t> masks = device.scratch().get<std::uint64_t>(
       sim::ScratchLane::kPalette, words * workers);
   sim::simd::fill(masks, 0);
+  // Per slot: rows claimed, frontier rows, and their edges.
+  const std::span<std::int64_t> tallies = device.scratch().get<std::int64_t>(
+      sim::ScratchLane::kPartials, 3 * static_cast<std::size_t>(workers));
+  std::fill(tallies.begin(), tallies.end(), 0);
 
-  sim::for_each_segment_range_slotted<eid_t>(
-      device, "grb::jpl_forbidden", csr.row_offsets,
-      [&](unsigned slot, std::int64_t s, std::int64_t local_begin,
-          std::int64_t local_end, std::int64_t global_begin) {
-        if (active[static_cast<std::size_t>(s)] == 0) return;
-        std::uint64_t* mask = masks.data() + slot * words;
-        for (std::int64_t k = local_begin; k < local_end; ++k) {
-          const auto p =
-              static_cast<std::size_t>(global_begin + (k - local_begin));
-          // The color read is a scattered gather through col_indices;
-          // prefetch the color of the neighbor D edges ahead so the miss
-          // overlaps this edge's mask OR.
-          if (k + sim::kGatherPrefetchDistance < local_end) {
-            sim::prefetch(&cv[static_cast<std::size_t>(
-                csr.col_indices[p + static_cast<std::size_t>(
-                                        sim::kGatherPrefetchDistance)])]);
+  grb::detail::claim_chunks(
+      device, "grb::jpl_forbidden", csr.num_vertices,
+      [&, cv, offsets, cols, member](unsigned slot, std::int64_t begin,
+                                     std::int64_t end) {
+        std::uint64_t* const mask = masks.data() + slot * words;
+        std::int64_t rows = 0;
+        std::int64_t edges = 0;
+        for (std::int64_t s = begin; s < end; ++s) {
+          const auto us = static_cast<std::size_t>(s);
+          if (member[us] == 0) continue;
+          const eid_t row_end = offsets[us + 1];
+          ++rows;
+          edges += row_end - offsets[us];
+          for (eid_t p = offsets[us]; p < row_end; ++p) {
+            // The color read is a scattered gather through col_indices;
+            // prefetch the color of the neighbor D edges ahead so the miss
+            // overlaps this edge's mask OR.
+            if (p + sim::kGatherPrefetchDistance < row_end) {
+              sim::prefetch(&cv[cols[p + sim::kGatherPrefetchDistance]]);
+            }
+            const std::int32_t cu = cv[cols[p]];
+            if (cu > 0) sim::set_bit(mask, cu);
           }
-          const vid_t u = csr.col_indices[p];
-          const std::int32_t cu = cv[static_cast<std::size_t>(u)];
-          if (cu > 0) sim::set_bit(mask, cu);
         }
+        tallies[slot] += end - begin;
+        tallies[workers + slot] += rows;
+        tallies[2 * workers + slot] += edges;
       },
-      nullptr,
-      // Per edge position: one adjacency column gather plus the neighbor
-      // color gather; the per-slot mask words stay cache-resident.
-      sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t)), 0} +
-          palette::kFirstFitPerNeighbor);
+      [&](unsigned slot) {
+        // Per row: the frontier byte; per frontier row: its offset pair;
+        // per frontier edge: the column gather plus the neighbor color
+        // gather. The per-slot mask words stay cache-resident.
+        return sim::Traffic{1, 0} * tallies[slot] +
+               sim::Traffic{static_cast<std::int64_t>(2 * sizeof(eid_t)), 0} *
+                   tallies[workers + slot] +
+               (sim::Traffic{static_cast<std::int64_t>(sizeof(vid_t)), 0} +
+                palette::kFirstFitPerNeighbor) *
+                   tallies[2 * workers + slot];
+      });
 
   // OR the per-slot masks into slot 0's words, then one first-zero-bit
   // search over the combined window.

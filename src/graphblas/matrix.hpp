@@ -45,6 +45,11 @@ class Matrix {
 
   [[nodiscard]] bool is_pattern() const noexcept { return values_.empty(); }
 
+  /// Values parallel to csr().col_indices; null for a pattern matrix.
+  [[nodiscard]] const T* values() const noexcept {
+    return values_.empty() ? nullptr : values_.data();
+  }
+
   /// Value of the k-th stored entry (flat CSR position).
   [[nodiscard]] T value_at(eid_t k) const noexcept {
     return values_.empty() ? T{1} : values_[static_cast<eid_size>(k)];

@@ -2,12 +2,13 @@
 // The GraphBLAS operations used by the paper's Algorithms 2–4, plus the
 // GxB_scatter extension the paper introduces for Jones-Plassmann (§IV-A3).
 //
-// Execution model: every operation is an *expression* — `at(i, out)` gives
-// its presence and value at position i — and every operation that writes a
-// vector stores its expression through detail::store: ONE slotted
-// virtual-GPU launch that, at each position i, evaluates the entry, merges
-// it under mask/replace semantics, and writes the value and presence byte
-// straight into the output's own (reused) buffers while counting entries:
+// Execution model: every operation is an *expression* — its evaluator's
+// `at(i, out)` gives its presence and value at position i — and every
+// operation that writes a vector stores its expression through
+// detail::store: ONE slotted virtual-GPU launch that, at each position i,
+// evaluates the entry, merges it under mask/replace semantics, and writes
+// the value and presence byte straight into the output's own (reused)
+// buffers while counting entries:
 //
 //   writes(i) = mask allows i && the expression has an entry at i
 //   final(i)  = writes(i) ? its value : (replace ? none : old w[i])
@@ -22,6 +23,11 @@
 // A deferred op (namespace deferred) hands its expression to a consumer
 // instead, as the C API's nonblocking mode permits: a chain of them runs in
 // the consumer's one launch and materializes nothing in between.
+//
+// A launch never evaluates an expression object itself (it may own scratch):
+// it evaluates the expression's *evaluator*, a small trivially copyable
+// struct of raw pointers that the launch body holds by value, so the body's
+// byte stores cannot alias it and it stays in registers across rows.
 
 #include <algorithm>
 #include <atomic>
@@ -53,6 +59,20 @@ namespace gcol::grb {
 inline constexpr std::int64_t kPushEdgeBalanceMinEntries = 4096;
 
 namespace detail {
+
+/// The evaluator of a vector leaf: its values and presence bytes.
+template <typename T>
+struct LeafEval {
+  using value_type = T;
+  const T* values;
+  const std::uint8_t* present;  // null when every position holds an entry
+  bool at(Index i, T& out) const noexcept {
+    const auto ui = static_cast<std::size_t>(i);
+    if (present != nullptr && present[ui] == 0) return false;
+    out = values[ui];
+    return true;
+  }
+};
 
 /// O(1)-lookup view of a vector: dense vectors are viewed in place; sparse
 /// vectors are scattered once into scratch (values + presence) so element
@@ -105,12 +125,8 @@ class DenseView {
     present_ = scratch_present_;
   }
 
-  /// Whether i holds an entry, and its value into `out` if so.
-  bool at(Index i, T& out) const noexcept {
-    const auto ui = static_cast<std::size_t>(i);
-    if (!present_.empty() && present_[ui] == 0) return false;
-    out = values_[ui];
-    return true;
+  [[nodiscard]] LeafEval<T> evaluator() const noexcept {
+    return {values_.data(), present_.empty() ? nullptr : present_.data()};
   }
   [[nodiscard]] sim::Traffic traffic() const noexcept {
     return {static_cast<std::int64_t>(sizeof(T)) + (present_.empty() ? 0 : 1),
@@ -162,6 +178,22 @@ void for_each_entry(sim::Device& device, const Vector<T>& u, F f,
   }
 }
 
+/// Mask evaluator: value or structure semantics, with complement.
+template <typename M>
+struct MaskEval {
+  LeafEval<M> view;
+  bool has_mask;
+  bool structure;
+  bool complement;
+  bool allows(Index i) const noexcept {
+    // No mask: everything writable; complementing "all" blocks everything.
+    if (!has_mask) return !complement;
+    M value{};
+    const bool set = view.at(i, value) && (structure || value != M{0});
+    return complement ? !set : set;
+  }
+};
+
 /// Mask + descriptor resolved over a DenseView (value or structure
 /// semantics, with complement), so every masked probe is O(1).
 template <typename M>
@@ -169,33 +201,54 @@ class FastMaskView {
  public:
   FastMaskView(const Vector<M>* mask, const Descriptor& desc,
                sim::Device& device)
-      : structure_(desc.mask_structure), complement_(desc.mask_complement) {
-    if (mask != nullptr) view_.emplace(*mask, device);
+      : eval_{{nullptr, nullptr},
+              false,
+              desc.mask_structure,
+              desc.mask_complement} {
+    if (mask != nullptr) {
+      view_.emplace(*mask, device);
+      eval_.view = view_->evaluator();
+      eval_.has_mask = true;
+    }
   }
 
   /// True when no mask constrains writes at all.
   [[nodiscard]] bool trivial() const noexcept {
-    return !view_.has_value() && !complement_;
+    return !eval_.has_mask && !eval_.complement;
   }
 
-  [[nodiscard]] bool allows(Index i) const noexcept {
-    // No mask: everything writable; complementing "all" blocks everything.
-    if (!view_.has_value()) return !complement_;
-    M value{};
-    const bool set = view_->at(i, value) && (structure_ || value != M{0});
-    return complement_ ? !set : set;
-  }
+  [[nodiscard]] MaskEval<M> evaluator() const noexcept { return eval_; }
 
  private:
-  std::optional<DenseView<M>> view_;
-  bool structure_;
-  bool complement_;
+  std::optional<DenseView<M>> view_;  // owns a sparse mask's scratch
+  MaskEval<M> eval_;
 };
 
-/// One slotted launch over positions [0, n), claimed in dynamic chunks since
-/// pull rows differ in cost: `visit(i)` returns whether i counts, and the
-/// per-slot counts sum to the result. `per_position` is one visit's modeled
-/// traffic; each slot also writes its two tallies.
+/// One slotted launch over positions [0, n), claimed in dynamic chunks of
+/// n / (8 · workers) since rows differ in cost: `body(slot, begin, end)` runs
+/// once per claimed chunk, and `traffic_of(slot)` models the slot's whole
+/// share once the launch is done (the body keeps its own per-slot tallies).
+template <typename Body, typename TrafficOf>
+void claim_chunks(sim::Device& device, const char* name, std::int64_t n,
+                  const Body& body, const TrafficOf& traffic_of) {
+  const std::int64_t chunk = std::max<std::int64_t>(
+      1, n / (8 * static_cast<std::int64_t>(device.num_workers())));
+  std::atomic<std::int64_t> next{0};
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  device.launch_slots(
+      name,
+      [&](unsigned slot, unsigned) {
+        for (std::int64_t begin = next.fetch_add(chunk, kRelaxed); begin < n;
+             begin = next.fetch_add(chunk, kRelaxed)) {
+          body(slot, begin, std::min(begin + chunk, n));
+        }
+      },
+      nullptr, [&](unsigned slot, unsigned) { return traffic_of(slot); });
+}
+
+/// claim_chunks over positions [0, n): `visit(i)` returns whether i counts,
+/// and the per-slot counts sum to the result. `per_position` is one visit's
+/// modeled traffic; each slot also writes its two tallies.
 template <typename Visit>
 std::int64_t count_positions(sim::Device& device, const char* name,
                              std::int64_t n, const Visit& visit,
@@ -204,30 +257,20 @@ std::int64_t count_positions(sim::Device& device, const char* name,
   // Per slot: its count, then the number of positions it claimed.
   const std::span<std::int64_t> tallies = device.scratch().get<std::int64_t>(
       sim::ScratchLane::kPartials, 2 * static_cast<std::size_t>(workers));
-  const std::int64_t chunk =
-      std::max<std::int64_t>(1, n / (8 * static_cast<std::int64_t>(workers)));
-  std::atomic<std::int64_t> next{0};
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  device.launch_slots(
-      name,
-      [&](unsigned slot, unsigned) {
+  std::fill(tallies.begin(), tallies.end(), 0);
+  claim_chunks(
+      device, name, n,
+      [&](unsigned slot, std::int64_t begin, std::int64_t end) {
         // A local copy, so the visit's byte stores cannot alias its state.
         const Visit local = visit;
         std::int64_t counted = 0;
-        std::int64_t claimed = 0;
-        for (std::int64_t begin = next.fetch_add(chunk, kRelaxed); begin < n;
-             begin = next.fetch_add(chunk, kRelaxed)) {
-          const std::int64_t end = std::min(begin + chunk, n);
-          for (std::int64_t i = begin; i < end; ++i) {
-            counted += local(i) ? 1 : 0;
-          }
-          claimed += end - begin;
+        for (std::int64_t i = begin; i < end; ++i) {
+          counted += local(i) ? 1 : 0;
         }
-        tallies[slot] = counted;
-        tallies[workers + slot] = claimed;
+        tallies[slot] += counted;
+        tallies[workers + slot] += end - begin;
       },
-      nullptr,
-      [&](unsigned slot, unsigned) {
+      [&](unsigned slot) {
         return per_position * tallies[workers + slot] +
                sim::Traffic{0, 2 * static_cast<std::int64_t>(sizeof(Index))};
       });
@@ -254,9 +297,9 @@ void store(sim::Device& device, const char* name, Vector<W>& w,
   const bool keep_bitmap = !replace && !out.dense;
   const std::int64_t nvals = count_positions(
       device, name, w.size(),
-      [=, &mask, &expr](Index i) {
+      [=, allow = mask.evaluator(), eval = expr.evaluator()](Index i) {
         typename Expr::value_type value{};
-        const bool writes = (unmasked || mask.allows(i)) && expr.at(i, value);
+        const bool writes = (unmasked || allow.allows(i)) && eval.at(i, value);
         if (writes) values[i] = static_cast<W>(value);
         const bool has =
             writes || keep_dense || (keep_bitmap && present[i] != 0);
@@ -271,9 +314,10 @@ void store(sim::Device& device, const char* name, Vector<W>& w,
 }
 
 // ---- expressions ------------------------------------------------------------
-// Each has a value_type T (the type it computes in), `at(i, out)` returning
-// whether it has an entry at i, and `traffic()`, one evaluation's modeled
-// reads. Operands are DenseViews or other expressions.
+// Each has a value_type T (the type it computes in), `traffic()` (one
+// evaluation's modeled reads) and `evaluator()`, which has the same
+// value_type and `at(i, out)`, returning whether the expression has an entry
+// at i. Operands are DenseViews or other expressions.
 
 template <typename E>
 using value_of = typename std::remove_cvref_t<E>::value_type;
@@ -297,7 +341,7 @@ struct OperandOf<const Vector<T>&> {
 template <typename E>
 using operand_t = typename OperandOf<E>::type;
 
-/// GrB_assign's scalar, at every position.
+/// GrB_assign's scalar, at every position (eager only). Its own evaluator.
 template <typename T>
 struct ScalarExpr {
   using value_type = T;
@@ -307,39 +351,129 @@ struct ScalarExpr {
     return true;
   }
   [[nodiscard]] sim::Traffic traffic() const noexcept { return {}; }
+  [[nodiscard]] ScalarExpr evaluator() const noexcept { return *this; }
 };
 
 /// f(i, u(i)) wherever u has an entry.
+template <typename T, typename UE, typename F>
+struct ApplyEval {
+  using value_type = T;
+  UE u;
+  F f;
+  bool at(Index i, T& out) const {
+    value_of<UE> x{};
+    if (!u.at(i, x)) return false;
+    out = static_cast<T>(f(i, x));
+    return true;
+  }
+};
+
 template <typename T, typename U, typename F>
 struct ApplyExpr {
   using value_type = T;
   U u;
   F f;
-  bool at(Index i, T& out) const {
-    value_of<U> x{};
-    if (!u.at(i, x)) return false;
-    out = static_cast<T>(f(i, x));
-    return true;
-  }
   [[nodiscard]] sim::Traffic traffic() const noexcept { return u.traffic(); }
+  [[nodiscard]] auto evaluator() const {
+    return ApplyEval<T, decltype(u.evaluator()), F>{u.evaluator(), f};
+  }
 };
+
+/// Pull vxm at j: the add-monoid reduction of u(i) ⊗ A(i, j) over row j
+/// (A = Aᵀ), stopping at the monoid's terminal value. A position the mask
+/// blocks has no entry (replace semantics). `values` is null for a pattern
+/// matrix (every A(i, j) = 1).
+template <typename T, typename UE, typename ME, typename A, typename Add,
+          typename Mul>
+struct PullEval {
+  using value_type = T;
+  /// A max reduction never decreases, so "x > the row's max" is decided at
+  /// the first neighbor reaching x (see EwiseEval).
+  static constexpr bool kMax = std::is_same_v<decltype(Add::op), Max>;
+  const eid_t* offsets;
+  const vid_t* cols;
+  const A* values;
+  Semiring<Add, Mul> semiring;
+  T identity;
+  T terminal;
+  bool has_terminal;
+  UE u;
+  ME mask;
+
+  bool at(Index j, T& out) const {
+    return reduce(j, out, [](T) { return false; });
+  }
+  /// As at(), but may stop once the running max reaches `bound`: `out` is
+  /// then not the row's max, but bound > out is false, as for the max.
+  bool at_below(Index j, T& out, T bound) const {
+    return reduce(j, out, [bound](T acc) { return !(bound > acc); });
+  }
+
+ private:
+  template <typename Stop>
+  bool reduce(Index j, T& out, Stop stop) const {
+    if (!mask.allows(j)) return false;
+    // One row loop per case, so a monoid without a terminal value tests
+    // none per edge and a pattern's A(i, j) = 1 folds into the multiply.
+    if (has_terminal) {
+      return values == nullptr ? row<true, true>(j, out, stop)
+                               : row<true, false>(j, out, stop);
+    }
+    return values == nullptr ? row<false, true>(j, out, stop)
+                             : row<false, false>(j, out, stop);
+  }
+  template <bool Terminal, bool Pattern, typename Stop>
+  bool row(Index j, T& out, Stop stop) const {
+    const auto r = static_cast<std::size_t>(j);
+    T acc = identity;
+    bool hit = false;
+    for (eid_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      value_of<UE> x{};
+      if (!u.at(static_cast<Index>(cols[e]), x)) continue;
+      const A aij = Pattern ? A{1} : values[e];
+      acc = static_cast<T>(semiring.add(
+          acc, static_cast<T>(semiring.mul(static_cast<T>(x),
+                                           static_cast<T>(aij)))));
+      hit = true;
+      if ((Terminal && acc == terminal) || stop(acc)) break;
+    }
+    out = acc;
+    return hit;
+  }
+};
+
+template <typename E>
+inline constexpr bool kIsMaxPull = requires { requires E::kMax; };
 
 /// u op v with eWiseAdd's UNION structure (an entry where u or v has one,
 /// op only where both do) or eWiseMult's INTERSECTION (entry only where
 /// both do; v is not evaluated where u has none).
-template <typename T, typename U, typename V, typename Op>
-struct EwiseExpr {
+///
+/// Short circuit: GT(u, max-pull) wherever u has an entry x only asks
+/// whether x exceeds the row's max, so the pull may stop at the first
+/// neighbor reaching x (PullEval::at_below). GT is then 0, as for the full
+/// max. Where u has no entry, the union takes the full max.
+template <typename T, typename UE, typename VE, typename Op>
+struct EwiseEval {
   using value_type = T;
-  U u;
-  V v;
+  static constexpr bool kBounded = std::is_same_v<Op, Greater> &&
+                                   kIsMaxPull<VE> &&
+                                   std::is_same_v<T, value_of<VE>>;
+  UE u;
+  VE v;
   Op op;
   bool union_structure;
   bool at(Index i, T& out) const {
-    value_of<U> x{};
-    value_of<V> y{};
+    value_of<UE> x{};
+    value_of<VE> y{};
     const bool has_u = u.at(i, x);
     if (!has_u && !union_structure) return false;
-    const bool has_v = v.at(i, y);
+    bool has_v;
+    if constexpr (kBounded) {
+      has_v = has_u ? v.at_below(i, y, static_cast<T>(x)) : v.at(i, y);
+    } else {
+      has_v = v.at(i, y);
+    }
     if (has_u && has_v) {
       out = static_cast<T>(op(static_cast<T>(x), static_cast<T>(y)));
       return true;
@@ -348,8 +482,21 @@ struct EwiseExpr {
     if (has_v) out = static_cast<T>(y);
     return union_structure && (has_u || has_v);
   }
+};
+
+template <typename T, typename U, typename V, typename Op>
+struct EwiseExpr {
+  using value_type = T;
+  U u;
+  V v;
+  Op op;
+  bool union_structure;
   [[nodiscard]] sim::Traffic traffic() const noexcept {
     return u.traffic() + v.traffic();
+  }
+  [[nodiscard]] auto evaluator() const {
+    return EwiseEval<T, decltype(u.evaluator()), decltype(v.evaluator()), Op>{
+        u.evaluator(), v.evaluator(), op, union_structure};
   }
 };
 
@@ -365,9 +512,7 @@ auto make_ewise(bool union_structure, Op op, U&& u, V&& v) {
                                   union_structure};
 }
 
-/// Pull vxm at j: the add-monoid reduction of u(i) ⊗ A(i, j) over row j
-/// (A = Aᵀ), stopping at the monoid's terminal value. A position the mask
-/// blocks has no entry (replace semantics).
+/// Pull vxm (see PullEval).
 template <typename T, typename U, typename A, typename Add, typename Mul,
           typename M>
 struct PullExpr {
@@ -376,44 +521,24 @@ struct PullExpr {
   Semiring<Add, Mul> semiring;
   U u;
   FastMaskView<M> mask;
-  const eid_t* offsets = a->csr().row_offsets.data();  // one load per row
-  const vid_t* cols = a->csr().col_indices.data();
-  bool at(Index j, T& out) const {
-    if (!mask.allows(j)) return false;
-    // One row loop per case, so a monoid without a terminal value tests
-    // none per edge and a pattern's A(i, j) = 1 folds into the multiply.
-    const auto one = [](eid_t) { return A{1}; };
-    const auto value = [this](eid_t e) { return a->value_at(e); };
-    if (const auto& terminal = semiring.add.terminal) {
-      const auto stop = [t = static_cast<T>(*terminal)](T x) { return x == t; };
-      return a->is_pattern() ? reduce_row(j, out, stop, one)
-                             : reduce_row(j, out, stop, value);
-    }
-    const auto never = [](T) { return false; };
-    return a->is_pattern() ? reduce_row(j, out, never, one)
-                           : reduce_row(j, out, never, value);
-  }
-  template <typename Stop, typename Value>
-  bool reduce_row(Index j, T& out, Stop stop, Value value) const {
-    const auto row = static_cast<std::size_t>(j);
-    T acc = static_cast<T>(semiring.add.identity);
-    bool hit = false;
-    for (eid_t e = offsets[row]; e < offsets[row + 1]; ++e) {
-      value_of<U> x{};
-      if (!u.at(static_cast<Index>(cols[e]), x)) continue;
-      acc = static_cast<T>(semiring.add(
-          acc, static_cast<T>(semiring.mul(static_cast<T>(x),
-                                           static_cast<T>(value(e))))));
-      hit = true;
-      if (stop(acc)) break;
-    }
-    out = acc;
-    return hit;
-  }
+
   // Per position: the row-offset pair; the row's gathers are data-dependent
   // and excluded (structural floor).
   [[nodiscard]] sim::Traffic traffic() const noexcept {
     return {static_cast<std::int64_t>(2 * sizeof(eid_t)), 0};
+  }
+  [[nodiscard]] auto evaluator() const {
+    const auto& csr = a->csr();
+    return PullEval<T, decltype(u.evaluator()), MaskEval<M>, A, Add, Mul>{
+        csr.row_offsets.data(),
+        csr.col_indices.data(),
+        a->values(),
+        semiring,
+        static_cast<T>(semiring.add.identity),
+        static_cast<T>(semiring.add.terminal.value_or(semiring.add.identity)),
+        semiring.add.terminal.has_value(),
+        u.evaluator(),
+        mask.evaluator()};
   }
 };
 
@@ -622,8 +747,9 @@ Info vxm(Vector<W>& w, const Vector<M>* mask,
 
   // Per-edge combine shared by both push schedules: CAS under the add
   // monoid (integral W only — non-integral W was forced to pull above).
+  const auto allow = view.evaluator();
   const auto combine_edge = [&](Index j, U ui_value, eid_t e) {
-    if (!view.allows(j)) return;
+    if (!allow.allows(j)) return;
     const W product = static_cast<W>(semiring.mul(
         static_cast<W>(ui_value), static_cast<W>(a.value_at(e))));
     if constexpr (std::is_integral_v<W>) {
@@ -869,12 +995,13 @@ Info scatter(Vector<W>& w, const Vector<M>* mask, const Vector<U>& u, T value,
   }
   auto& device = sim::Device::instance();
   const detail::FastMaskView<M> view(mask, desc, device);
+  const auto allow = view.evaluator();
   auto wv = w.dense_values();
   const Index bound = w.size();
   detail::for_each_entry(
       device, u,
       [&](Index i, U c) {
-        if (!view.allows(i)) return;
+        if (!allow.allows(i)) return;
         const auto target = static_cast<Index>(c);
         if (target < 0 || target >= bound) return;
         sim::atomic_store(wv[static_cast<std::size_t>(target)],
