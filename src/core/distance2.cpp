@@ -8,9 +8,8 @@
 #include "gunrock/enactor.hpp"
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
-#include "obs/trace.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -61,9 +60,9 @@ Coloring distance2_color(const graph::Csr& csr,
   result.algorithm = options.parallel ? "distance2_jp" : "distance2_greedy";
   result.colors.assign(un, kUncolored);
   if (n == 0) return result;
+  const obs::ScopedDeviceMetrics scoped(device, result.metrics);
 
   std::int32_t* colors = result.colors.data();
-  const sim::Stopwatch watch;
 
   // The distance-2 neighborhood has size <= max_degree^2; first-fit always
   // finds a color within it.
@@ -95,10 +94,14 @@ Coloring distance2_color(const graph::Csr& csr,
   };
 
   if (!options.parallel) {
-    for (vid_t v = 0; v < n; ++v) {
-      colors[static_cast<std::size_t>(v)] = min_available(v);
-    }
-    result.iterations = 1;
+    // The sequential greedy is one round that colors every vertex.
+    gr::Enactor enactor(device, result, options.max_iterations);
+    enactor.run("distance2::greedy", [&](std::int32_t) {
+      for (vid_t v = 0; v < n; ++v) {
+        colors[static_cast<std::size_t>(v)] = min_available(v);
+      }
+      return n;
+    });
   } else {
     // live[v] is v's priority until the filter retires it with
     // kColoredPriority, between launches (DESIGN.md §3b, "The live-state
@@ -113,10 +116,8 @@ Coloring distance2_color(const graph::Csr& csr,
     });
 
     gr::Frontier frontier = gr::Frontier::all(n);
-    const std::uint64_t launches_before = device.launch_count();
-    gr::Enactor enactor(device, options.max_iterations);
-    const gr::EnactorStats stats = enactor.enact([&](std::int32_t) {
-      const obs::ScopedPhase phase("distance2::round");
+    gr::Enactor enactor(device, result, options.max_iterations);
+    enactor.run("distance2::round", [&](std::int32_t) {
       gr::compute(device, frontier, [&](vid_t v) {
         const std::int64_t mine = live[static_cast<std::size_t>(v)];
         bool blocked = false;
@@ -131,13 +132,9 @@ Coloring distance2_color(const graph::Csr& csr,
         live[uv] = kColoredPriority;
         return false;
       });
-      return !frontier.is_empty();
+      return n - frontier.size();
     });
-    result.iterations = stats.iterations;
-    result.kernel_launches = device.launch_count() - launches_before;
   }
-
-  result.elapsed_ms = watch.elapsed_ms();
   result.num_colors = count_colors(result.colors);
   return result;
 }

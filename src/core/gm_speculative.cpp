@@ -9,9 +9,7 @@
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -52,27 +50,21 @@ Coloring gm_speculative_color(const graph::Csr& csr,
   // so every flag is zero again at the start of each round.
   std::vector<std::uint8_t> conflicted(un, 0);
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
-  gr::Enactor enactor(device, options.max_iterations);
-  const gr::EnactorStats stats = enactor.enact([&](std::int32_t) {
-    const obs::ScopedPhase phase("gm::round");
+  gr::Enactor enactor(device, result, options.max_iterations);
+  enactor.run("gm::round", [&](std::int32_t) {
     // Sequential tail: below the threshold the coordination cost of two
     // more parallel launches exceeds just finishing the stragglers.
     if (!active.is_all() && active.size() <= options.sequential_threshold) {
-      result.metrics.push("frontier", active.size());
       device.host_pass("gm::sequential_tail", [&] {
         for (std::int64_t i = 0; i < active.size(); ++i) {
           const vid_t v = active.vertex(i);
           colors[static_cast<std::size_t>(v)] = min_available(csr, colors, v);
         }
       });
-      result.metrics.push("colored", n);
       result.metrics.push("conflicts", 0);
-      return false;
+      return std::int64_t{n};
     }
 
-    result.metrics.push("frontier", active.size());
     // Phase 1: optimistic (speculative) coloring.
     gr::compute(device, active, [&](vid_t v) {
       sim::atomic_store(colors[static_cast<std::size_t>(v)],
@@ -103,17 +95,12 @@ Coloring gm_speculative_color(const graph::Csr& csr,
       }
       return false;
     });
-    result.metrics.push("colored", n - active.size());
     const std::int64_t conflicts_now =
         conflicts_total.load(std::memory_order_relaxed);
     result.metrics.push("conflicts", conflicts_now - prev_conflicts);
     prev_conflicts = conflicts_now;
-    return !active.is_empty();
+    return n - active.size();
   });
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.iterations = stats.iterations;
-  result.kernel_launches = device.launch_count() - launches_before;
   result.conflicts_resolved = conflicts_total.load(std::memory_order_relaxed);
   result.num_colors = count_colors(result.colors);
   return result;

@@ -93,4 +93,20 @@ void assign_active(sim::Device& device, const char* name,
       sim::Traffic{1, 0});
 }
 
+/// Exports the paper's 1-based colors (0 = uncolored) into result.colors,
+/// 0-based with kUncolored, in one launch named `name`. The launch sits
+/// outside the timed window, after the round driver has returned.
+inline void export_colors(sim::Device& device, const char* name,
+                          const grb::Vector<std::int32_t>& c,
+                          Coloring& result) {
+  const std::span<const std::int32_t> cv = c.dense_values();
+  device.launch(name, static_cast<std::int64_t>(c.size()),
+                [&](std::int64_t i) {
+                  const std::int32_t paper_color =
+                      cv[static_cast<std::size_t>(i)];
+                  result.colors[static_cast<std::size_t>(i)] =
+                      paper_color == 0 ? kUncolored : paper_color - 1;
+                });
+}
+
 }  // namespace gcol::color::detail

@@ -7,12 +7,11 @@
 #include "core/grb_common.hpp"
 #include "core/palette.hpp"
 #include "core/verify.hpp"
+#include "gunrock/enactor.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/bitops.hpp"
 #include "sim/scratch.hpp"
 #include "sim/simd.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -180,24 +179,21 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
   std::optional<PureScratch> pure;
   if (!options.bit_packed_palette) pure.emplace(n);
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
+  gr::Enactor enactor(device, result, options.max_iterations);
 
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
   std::int64_t colored_total = 0;
   std::int32_t max_color = 0;
-  for (std::int32_t round = 1; round <= options.max_iterations; ++round) {
-    const obs::ScopedPhase phase("grb_jpl::round");
+  enactor.run("grb_jpl::round", [&](std::int32_t) {
     // Select the independent set exactly as Algorithm 2 does, in one
     // launch (see grb_is).
     const auto nbr_max = grb::deferred::vxm(
         &weight, grb::max_times_semiring<Weight>(), weight, a);
-    const std::int64_t succ = detail::mirror_count(
+    colored_total += detail::mirror_count(
         device, "grb_jpl::select_frontier",
         grb::deferred::eWiseAdd(grb::Greater{}, weight, nbr_max), active);
-    if (succ == 0) break;
     // GRAPHBLASJPINNER replaces the fresh color with the minimum available.
     const std::int32_t min_color =
         options.bit_packed_palette
@@ -211,23 +207,12 @@ Coloring grb_jpl_color(const graph::Csr& csr, const GrbJplOptions& options) {
                             cv[i] = min_color;
                             wv[i] = Weight{0};
                           });
-    result.metrics.push("frontier", n - colored_total);
-    colored_total += succ;
-    result.metrics.push("colored", colored_total);
     if (min_color > max_color) max_color = min_color;
     result.metrics.push("colors_opened", max_color);
-    ++result.iterations;
-  }
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.kernel_launches = device.launch_count() - launches_before;
-
-  const auto cv = c.dense_values();
-  device.launch("grb_jpl::export_colors", n, [&](std::int64_t i) {
-    const std::int32_t paper_color = cv[static_cast<std::size_t>(i)];
-    result.colors[static_cast<std::size_t>(i)] =
-        paper_color == 0 ? kUncolored : paper_color - 1;
+    return colored_total;
   });
+
+  detail::export_colors(device, "grb_jpl::export_colors", c, result);
   result.num_colors = count_colors(result.colors);
   return result;
 }

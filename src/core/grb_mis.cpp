@@ -5,9 +5,8 @@
 
 #include "core/grb_common.hpp"
 #include "core/verify.hpp"
+#include "gunrock/enactor.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -77,27 +76,22 @@ Coloring grb_mis_color(const graph::Csr& csr, const GrbMisOptions& options) {
   // is consumed by its assign_active before the next mirror_count.
   grb::Vector<std::uint8_t> active(n), knocked(n);
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
+  gr::Enactor enactor(device, result, options.max_iterations);
 
   grb::assign(c, nullptr, std::int32_t{0});
   detail::set_random_weights(weight, options);
 
   std::int64_t colored_total = 0;
-  for (std::int32_t color = 1; color <= options.max_iterations; ++color) {
-    const obs::ScopedPhase phase("grb_mis::round");
+  enactor.run("grb_mis::round", [&](std::int32_t iteration) {
+    const std::int32_t color = iteration + 1;
     // Inner loop operates on a copy: knocked-out neighbors must stay
     // colorable in later outer rounds.
     cand = weight;
     mis_inner(device, a, cand, mis, active, knocked);
-    // The MIS is empty only when no uncolored vertices remain. Summing the
-    // 0/1 set vector gives the emptiness test and the set size in one pass.
-    const std::int64_t size =
+    // Summing the 0/1 set vector gives the set size in the same pass that
+    // mirrors it into the frontier bytes.
+    colored_total +=
         detail::mirror_count(device, "grb_mis::sync_mis", mis, active);
-    if (size == 0) break;
-    result.metrics.push("frontier", n - colored_total);
-    colored_total += size;
-    result.metrics.push("colored", colored_total);
     result.metrics.push("colors_opened", color);
     const std::span<std::int32_t> cv = c.dense_values();
     const std::span<Weight> wv = weight.dense_values();
@@ -106,18 +100,10 @@ Coloring grb_mis_color(const graph::Csr& csr, const GrbMisOptions& options) {
                             cv[i] = color;
                             wv[i] = Weight{0};
                           });
-    ++result.iterations;
-  }
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.kernel_launches = device.launch_count() - launches_before;
-
-  const auto cv = c.dense_values();
-  device.launch("grb_mis::export_colors", n, [&](std::int64_t i) {
-    const std::int32_t paper_color = cv[static_cast<std::size_t>(i)];
-    result.colors[static_cast<std::size_t>(i)] =
-        paper_color == 0 ? kUncolored : paper_color - 1;
+    return colored_total;
   });
+
+  detail::export_colors(device, "grb_mis::export_colors", c, result);
   result.num_colors = count_colors(result.colors);
   return result;
 }

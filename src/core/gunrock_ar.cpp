@@ -9,8 +9,6 @@
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -85,11 +83,8 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
   };
   constexpr MinMaxPair mm_identity{kColoredPriority, kNoNeighborMin};
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
-  gr::Enactor enactor(device, options.max_iterations);
-  const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
-    const obs::ScopedPhase phase("gunrock_ar::round");
+  gr::Enactor enactor(device, result, options.max_iterations);
+  enactor.run("gunrock_ar::round", [&](std::int32_t iteration) {
     // The reduce's finalize colors each frontier member: the local maxima
     // (ColorRemovedOp inlined), or with fused_minmax the two mutually-
     // exclusive independent sets of one (max, min) pass.
@@ -106,7 +101,6 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
       if (live[uv] > neighbor_max) colors[uv] = iteration;
     };
 
-    result.metrics.push("frontier", frontier.size());
     if (options.fused_minmax) {
       gr::neighbor_reduce_bits<MinMaxPair>(device, csr, frontier, mm_map,
                                            mm_reduce, mm_identity,
@@ -123,16 +117,11 @@ Coloring gunrock_ar_color(const graph::Csr& csr,
                                         std::move(spare_words), survive_op);
     spare_words = frontier.release_words();
     frontier = std::move(next);
-    result.metrics.push("colored", n - frontier.size());
     result.metrics.push("colors_opened",
                         options.fused_minmax ? 2 * (iteration + 1)
                                              : iteration + 1);
-    return !frontier.is_empty();
+    return n - frontier.size();
   });
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.iterations = stats.iterations;
-  result.kernel_launches = device.launch_count() - launches_before;
   result.num_colors = count_colors(result.colors);
   return result;
 }

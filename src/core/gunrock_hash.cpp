@@ -9,9 +9,7 @@
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/atomics.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -121,11 +119,8 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
     return colors[static_cast<std::size_t>(v)] == kUncolored;
   };
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
-  gr::Enactor enactor(device, options.max_iterations);
-  const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
-    const obs::ScopedPhase phase("gunrock_hash::round");
+  gr::Enactor enactor(device, result, options.max_iterations);
+  enactor.run("gunrock_hash::round", [&](std::int32_t iteration) {
     // HashColorOp (Algorithm 6): every uncolored vertex proposes colors for
     // the max- and min-priority members of {itself} U uncolored neighbors.
     const auto propose_op = [&](vid_t v) {
@@ -181,7 +176,6 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
       }
     };
 
-    const std::int64_t active = frontier.size();
     gr::compute(device, frontier, propose_op, avg_degree);
     gr::compute(device, frontier, conflict_op, avg_degree);
 
@@ -192,20 +186,13 @@ Coloring gunrock_hash_color(const graph::Csr& csr,
                                         avg_degree);
     spare_words = frontier.release_words();
     frontier = std::move(next);
-    const std::int64_t colored = n - frontier.size();
     const std::int64_t conflicts_now =
         conflicts.load(std::memory_order_relaxed);
-    result.metrics.push("frontier", active);
-    result.metrics.push("colored", colored);
     result.metrics.push("colors_opened", 2 * (iteration + 1));
     result.metrics.push("conflicts", conflicts_now - prev_conflicts);
     prev_conflicts = conflicts_now;
-    return colored < n;
+    return n - frontier.size();
   });
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.iterations = stats.iterations;
-  result.kernel_launches = device.launch_count() - launches_before;
   result.conflicts_resolved = conflicts.load(std::memory_order_relaxed);
   result.num_colors = count_colors(result.colors);
   return result;

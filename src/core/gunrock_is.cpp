@@ -9,9 +9,7 @@
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/bitops.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -43,11 +41,8 @@ Coloring gunrock_is_color(const graph::Csr& csr,
   const double avg_degree = csr.average_degree();
   std::atomic<std::int64_t> colored_total{0};
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
-  gr::Enactor enactor(device, options.max_iterations);
-  const gr::EnactorStats stats = enactor.enact([&](std::int32_t iteration) {
-    const obs::ScopedPhase phase("gunrock_is::round");
+  gr::Enactor enactor(device, result, options.max_iterations);
+  enactor.run("gunrock_is::round", [&](std::int32_t iteration) {
     const std::int32_t color = 2 * iteration;
     // ColorOp (Algorithm 5 lines 15-43): one thread per vertex, serial
     // neighbor loop — deliberately NOT load balanced. Only neighbors in the
@@ -75,28 +70,19 @@ Coloring gunrock_is_color(const graph::Csr& csr,
       return false;
     };
 
-    // Stop when all vertices hold a valid color (Algorithm 5 line 9). The
-    // color attempt AND the frontier rebuild fuse into one word-owner
-    // filter_bits launch per iteration, and "colored so far" falls out of
-    // the bitmap's popcount (the atomics variant reads its counter).
-    const std::int64_t active = frontier.size();
+    // The color attempt AND the frontier rebuild fuse into one word-owner
+    // filter_bits launch per iteration, and "colored so far" (the stop
+    // test, Algorithm 5 line 9) falls out of the bitmap's popcount (the
+    // atomics variant reads its counter).
     gr::Frontier next = gr::filter_bits(device, frontier,
                                         std::move(spare_words), survive_op,
                                         avg_degree);
     spare_words = frontier.release_words();
     frontier = std::move(next);
-    const std::int64_t colored =
-        options.use_atomics ? colored_total.load(std::memory_order_relaxed)
-                            : n - frontier.size();
-    result.metrics.push("frontier", active);
-    result.metrics.push("colored", colored);
     result.metrics.push("colors_opened", 2 * (iteration + 1));
-    return colored < n;
+    return options.use_atomics ? colored_total.load(std::memory_order_relaxed)
+                               : n - frontier.size();
   });
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.iterations = stats.iterations;
-  result.kernel_launches = device.launch_count() - launches_before;
   result.num_colors = count_colors(result.colors);
   return result;
 }

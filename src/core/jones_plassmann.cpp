@@ -11,9 +11,7 @@
 #include "gunrock/frontier.hpp"
 #include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/rng.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -157,12 +155,8 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
     return false;
   };
 
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
-  gr::Enactor enactor(device, options.max_iterations);
-  const gr::EnactorStats stats = enactor.enact([&](std::int32_t) {
-    const obs::ScopedPhase phase("jp::round");
-    result.metrics.push("frontier", frontier.size());
+  gr::Enactor enactor(device, result, options.max_iterations);
+  enactor.run("jp::round", [&](std::int32_t) {
     gr::compute(device, frontier, color_op, avg_degree);
     // Word-wise frontier rebuild into the recycled buffer.
     gr::Frontier next = gr::filter_bits(device, frontier,
@@ -170,13 +164,8 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
                                         avg_degree);
     spare_words = frontier.release_words();
     frontier = std::move(next);
-    result.metrics.push("colored", n - frontier.size());
-    return !frontier.is_empty();
+    return n - frontier.size();
   });
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.iterations = stats.iterations;
-  result.kernel_launches = device.launch_count() - launches_before;
   result.num_colors = count_colors(result.colors);
   return result;
 }

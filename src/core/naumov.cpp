@@ -6,13 +6,12 @@
 
 #include "core/live.hpp"
 #include "core/verify.hpp"
+#include "gunrock/enactor.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/device.hpp"
 #include "sim/rng.hpp"
 #include "sim/scratch.hpp"
 #include "sim/slot_range.hpp"
-#include "sim/timer.hpp"
 
 namespace gcol::color {
 
@@ -69,9 +68,7 @@ Coloring naumov_jpl_color(const graph::Csr& csr,
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
 
   std::int32_t* colors = result.colors.data();
-  std::int64_t prev_colored = 0;
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
+  gr::Enactor enactor(device, result, options.max_iterations);
 
   // Double-buffered live state (DESIGN.md §3b): round k reads cur[], which
   // holds each vertex's round-k hash_priority or kColoredPriority once it
@@ -122,24 +119,15 @@ Coloring naumov_jpl_color(const graph::Csr& csr,
     return false;
   };
 
-  for (std::int32_t iteration = 0; iteration < options.max_iterations;
-       ++iteration) {
-    const obs::ScopedPhase phase("naumov::jpl_round");
+  enactor.run("naumov::jpl_round", [&](std::int32_t iteration) {
     const std::int64_t uncolored = color_pass_count_uncolored(
         device, "naumov::jpl_color", n, [&](std::int64_t vi) {
           return color_vertex(vi, iteration, cur.data(), next.data());
         });
     cur.swap(next);
-    ++result.iterations;
-    result.metrics.push("frontier", n - prev_colored);
-    result.metrics.push("colored", n - uncolored);
     result.metrics.push("colors_opened", iteration + 1);
-    prev_colored = n - uncolored;
-    if (uncolored == 0) break;
-  }
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.kernel_launches = device.launch_count() - launches_before;
+    return n - uncolored;
+  });
   result.num_colors = count_colors(result.colors);
   return result;
 }
@@ -163,9 +151,7 @@ Coloring naumov_cc_color(const graph::Csr& csr,
                                              : options.num_hashes);
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
   std::int32_t* colors = result.colors.data();
-  std::int64_t prev_colored = 0;
-  const sim::Stopwatch watch;
-  const std::uint64_t launches_before = device.launch_count();
+  gr::Enactor enactor(device, result, options.max_iterations);
 
   // Live state written between launches (DESIGN.md §3b): a row of
   // kMaxHashes 32-bit hash slots per vertex plus a live byte, refilled by a
@@ -243,25 +229,16 @@ Coloring naumov_cc_color(const graph::Csr& csr,
     return false;
   };
 
-  for (std::int32_t iteration = 0; iteration < options.max_iterations;
-       ++iteration) {
-    const obs::ScopedPhase phase("naumov::cc_round");
+  enactor.run("naumov::cc_round", [&](std::int32_t iteration) {
     device.launch(
         "naumov::cc_hash", n,
         [&](std::int64_t vi) { fill_vertex(vi, iteration); });
     const std::int64_t uncolored = color_pass_count_uncolored(
         device, "naumov::cc_color", n,
         [&](std::int64_t vi) { return color_vertex(vi, iteration); });
-    ++result.iterations;
-    result.metrics.push("frontier", n - prev_colored);
-    result.metrics.push("colored", n - uncolored);
     result.metrics.push("colors_opened", (iteration + 1) * 2 * num_hashes);
-    prev_colored = n - uncolored;
-    if (uncolored == 0) break;
-  }
-
-  result.elapsed_ms = watch.elapsed_ms();
-  result.kernel_launches = device.launch_count() - launches_before;
+    return n - uncolored;
+  });
   result.num_colors = count_colors(result.colors);
   return result;
 }

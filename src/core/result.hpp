@@ -19,8 +19,8 @@
 namespace gcol::color {
 
 /// Colors are 0-based contiguous-ish small integers; kUncolored marks a
-/// vertex no color has been assigned to (only valid mid-algorithm — every
-/// algorithm's output colors all vertices).
+/// vertex no color has been assigned to. A returned Coloring colors every
+/// vertex unless its hit_iteration_cap is set.
 inline constexpr std::int32_t kUncolored = -1;
 
 /// "No color available here" in the 64-bit packed color/weight domain the
@@ -37,6 +37,11 @@ struct Coloring {
   double elapsed_ms = 0.0;           ///< wall clock of the color phase only
   std::uint64_t kernel_launches = 0; ///< global-synchronization proxy
   std::int64_t conflicts_resolved = 0;  ///< hash/speculative variants only
+  /// Set when a round-based colorer ran Options::max_iterations rounds and
+  /// vertices were still uncolored. The colors are then partial: the
+  /// colored vertices form a proper coloring of the subgraph they induce,
+  /// and the rest are kUncolored. False on every complete coloring.
+  bool hit_iteration_cap = false;
   /// Per-run observability payload: per-kernel launch aggregates plus
   /// per-iteration series ("frontier", "colored", ...). Filled by every
   /// algorithm; serialized by the harnesses' --json mode.
@@ -47,8 +52,10 @@ struct Coloring {
 /// this with its own knobs.
 struct Options {
   std::uint64_t seed = 0x5eedULL;
-  /// Safety cap on outer iterations (far above any practical bound; the
-  /// randomized heuristics all have expected O(log n) rounds).
+  /// Cap on outer color rounds (far above any practical bound; the
+  /// randomized heuristics all have expected O(log n) rounds). A run that
+  /// reaches it with vertices uncolored returns them kUncolored and sets
+  /// Coloring::hit_iteration_cap.
   std::int32_t max_iterations = 1 << 20;
   /// Bitmap frontier traversal direction for the frontier-driven
   /// algorithms (jones_plassmann, gunrock_is, gunrock_hash, gunrock_ar):

@@ -4,6 +4,7 @@
 
 #include "../testing/fixtures.hpp"
 #include "core/verify.hpp"
+#include "graph/build.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graph/generators/grid.hpp"
 #include "graph/generators/rgg.hpp"
@@ -97,6 +98,23 @@ TEST(Distance2, ParallelDeterministicForSeed) {
   options.seed = 9;
   EXPECT_EQ(distance2_color(csr, options).colors,
             distance2_color(csr, options).colors);
+}
+
+TEST(Distance2, ParallelReportsRoundSeriesAndKernels) {
+  const auto csr = graph::build_csr(graph::generate_rgg(9, {.seed = 5}));
+  const Coloring result = distance2_color(csr, Distance2Options{});
+  ASSERT_TRUE(is_valid_distance2_coloring(csr, result.colors));
+  EXPECT_FALSE(result.hit_iteration_cap);
+  const auto* frontier = result.metrics.series("frontier");
+  const auto* colored = result.metrics.series("colored");
+  ASSERT_NE(frontier, nullptr);
+  ASSERT_NE(colored, nullptr);
+  EXPECT_EQ(frontier->front(), csr.num_vertices);
+  EXPECT_EQ(colored->back(), csr.num_vertices);
+  EXPECT_EQ(static_cast<std::int64_t>(frontier->size()), result.iterations);
+  EXPECT_EQ(static_cast<std::int64_t>(colored->size()), result.iterations);
+  EXPECT_FALSE(result.metrics.kernel_names().empty());
+  EXPECT_GE(result.metrics.total_kernel_launches(), result.kernel_launches);
 }
 
 TEST(Distance2, VerifierRejectsDistance2Conflict) {
