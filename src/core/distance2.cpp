@@ -4,10 +4,9 @@
 #include <vector>
 
 #include "core/live.hpp"
+#include "core/priority_dag.hpp"
 #include "core/verify.hpp"
 #include "gunrock/enactor.hpp"
-#include "gunrock/frontier.hpp"
-#include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 
@@ -103,37 +102,36 @@ Coloring distance2_color(const graph::Csr& csr,
       return n;
     });
   } else {
-    // live[v] is v's priority until the filter retires it with
-    // kColoredPriority, between launches (DESIGN.md §3b, "The live-state
-    // rule"), so the result is deterministic for any worker interleaving
-    // and first-fit reads colors[] that only earlier launches wrote.
-    std::vector<std::int64_t> live(un);
+    // A vertex colors once every vertex within two hops that outranks it
+    // has colored. The priority packs the vertex id, so one compare is the
+    // whole strict order. The walk visits x from v exactly
+    // [x in N(v)] + |N(v) & N(x)| times, which is symmetric in (v, x), so
+    // counting outranking visits and releasing every uncolored visit leaves
+    // each count at 0 exactly once.
+    std::vector<std::int64_t> priority(un);
     const sim::CounterRng rng(options.seed, 0xD257);
     device.launch("distance2::priority_init", n, [&](std::int64_t v) {
-      live[static_cast<std::size_t>(v)] =
+      priority[static_cast<std::size_t>(v)] =
           packed_priority(rng.uniform_int31(static_cast<std::uint64_t>(v)),
                           static_cast<vid_t>(v));
     });
-
-    gr::Frontier frontier = gr::Frontier::all(n);
-    gr::Enactor enactor(device, result, options.max_iterations);
-    enactor.run("distance2::round", [&](std::int32_t) {
-      gr::compute(device, frontier, [&](vid_t v) {
-        const std::int64_t mine = live[static_cast<std::size_t>(v)];
-        bool blocked = false;
-        for_each_distance2(csr, v, [&](vid_t u) {
-          blocked = blocked || live[static_cast<std::size_t>(u)] > mine;
+    color_priority_dag(
+        device, result, options.max_iterations,
+        {"distance2::round", "distance2::count", "distance2::color"},
+        [&](vid_t v) {
+          const std::int64_t mine = priority[static_cast<std::size_t>(v)];
+          std::int32_t count = 0;
+          for_each_distance2(csr, v, [&](vid_t u) {
+            count += priority[static_cast<std::size_t>(u)] > mine;
+          });
+          return count;
+        },
+        [&](vid_t v, auto&& release) {
+          for_each_distance2(csr, v, [&](vid_t u) {
+            if (colors[static_cast<std::size_t>(u)] == kUncolored) release(u);
+          });
+          colors[static_cast<std::size_t>(v)] = min_available(v);
         });
-        if (!blocked) colors[static_cast<std::size_t>(v)] = min_available(v);
-      });
-      frontier = gr::filter(device, frontier, [&](vid_t v) {
-        const auto uv = static_cast<std::size_t>(v);
-        if (colors[uv] == kUncolored) return true;
-        live[uv] = kColoredPriority;
-        return false;
-      });
-      return n - frontier.size();
-    });
   }
   result.num_colors = count_colors(result.colors);
   return result;

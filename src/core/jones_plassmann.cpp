@@ -6,11 +6,10 @@
 #include "core/live.hpp"
 #include "core/ordering.hpp"
 #include "core/palette.hpp"
+#include "core/priority_dag.hpp"
 #include "core/verify.hpp"
-#include "gunrock/enactor.hpp"
-#include "gunrock/frontier.hpp"
-#include "gunrock/operators.hpp"
 #include "obs/metrics.hpp"
+#include "sim/bitops.hpp"
 #include "sim/rng.hpp"
 
 namespace gcol::color {
@@ -109,63 +108,64 @@ Coloring jones_plassmann_color(const graph::Csr& csr,
   if (n == 0) return result;
   const obs::ScopedDeviceMetrics scoped(device, result.metrics);
 
-  // live[v] is v's priority while v is uncolored at the start of a round,
-  // and kColoredPriority from the round after it colors. Only the filter
-  // writes it, in its own launch, so the color decisions read the PREVIOUS
-  // round's state and the result is a deterministic function of (graph,
-  // priorities) no matter how workers interleave — the bulk-synchronous JP
-  // formulation. The traversal direction therefore never changes the
-  // colors, only the launch structure.
-  std::vector<std::int64_t> live = jones_plassmann_priorities(csr, options);
+  // Priorities are read-only from here on. The degree-keyed modes can tie,
+  // so their order falls back to the higher original id; a random priority
+  // packs the original id, so one compare is the whole strict order.
+  const std::vector<std::int64_t> priority =
+      jones_plassmann_priorities(csr, options);
+  const std::int64_t* prio = priority.data();
   std::int32_t* colors = result.colors.data();
-  gr::Frontier frontier = gr::Frontier::all_bits(n, options.frontier_mode);
-  std::vector<std::uint64_t> spare_words;  // double buffer
-  const double avg_degree = csr.average_degree();
 
-  // A frontier vertex colors itself with its minimum available color once
-  // no live neighbor outranks it. The degree-keyed priorities carry no (or,
-  // for the hybrid, a truncated) id, so equal values fall back to the
-  // original ids: the order is strict, no neighbor of a vertex that colors
-  // in a round colors in that same round, and the palette sweep reads
-  // colors[] that only earlier launches wrote.
-  const auto color_op = [&](vid_t v) {
-    const std::int64_t mine = live[static_cast<std::size_t>(v)];
+  // A ready vertex's higher-priority neighbors are all colored and its
+  // lower-priority ones all uncolored (each still counts it), so one sweep
+  // of its neighbor colors both first-fits and releases. The first 64
+  // colors fit one register window; a vertex with a full window re-sweeps
+  // with the windowed palette, which is the exact first-fit either way.
+  const auto color_one = [&](vid_t v, auto&& release) {
     const auto adj = csr.neighbors(v);
+    std::uint64_t window = 0;
     for (const vid_t u : adj) {
-      const std::int64_t theirs = live[static_cast<std::size_t>(u)];
-      if (theirs > mine) return;
-      if (theirs == mine && options.original_id(u) > options.original_id(v)) {
-        return;
+      const std::int32_t c = colors[static_cast<std::size_t>(u)];
+      if (c == kUncolored) {
+        release(u);
+      } else if (c < sim::kBitsPerWord) {
+        window |= std::uint64_t{1} << c;
       }
     }
-    // Minimum color absent from the colored neighborhood, via the zero-
-    // scratch windowed bit palette (a degree-d vertex always first-fits
-    // within [0, d], so the sweep stays register-resident).
-    colors[static_cast<std::size_t>(v)] = palette::first_fit_windowed(
-        static_cast<std::int64_t>(adj.size()), [&](std::int64_t k) {
-          return colors[static_cast<std::size_t>(
-              adj[static_cast<std::size_t>(k)])];
-        });
+    colors[static_cast<std::size_t>(v)] =
+        window != sim::kFullWord
+            ? sim::min_unset_bit(window)
+            : palette::first_fit_windowed(
+                  static_cast<std::int64_t>(adj.size()), [&](std::int64_t k) {
+                    return colors[static_cast<std::size_t>(
+                        adj[static_cast<std::size_t>(k)])];
+                  });
   };
-  // The vertices this round colored leave the frontier and the comparison.
-  const auto survive_op = [&](vid_t v) {
-    const auto uv = static_cast<std::size_t>(v);
-    if (colors[uv] == kUncolored) return true;
-    live[uv] = kColoredPriority;
-    return false;
+  const auto run = [&](auto outranks) {
+    color_priority_dag(
+        device, result, options.max_iterations,
+        {"jp::round", "jp::count", "jp::color"},
+        [&](vid_t v) {
+          std::int32_t count = 0;
+          for (const vid_t u : csr.neighbors(v)) count += outranks(u, v);
+          return count;
+        },
+        color_one);
   };
-
-  gr::Enactor enactor(device, result, options.max_iterations);
-  enactor.run("jp::round", [&](std::int32_t) {
-    gr::compute(device, frontier, color_op, avg_degree);
-    // Word-wise frontier rebuild into the recycled buffer.
-    gr::Frontier next = gr::filter_bits(device, frontier,
-                                        std::move(spare_words), survive_op,
-                                        avg_degree);
-    spare_words = frontier.release_words();
-    frontier = std::move(next);
-    return n - frontier.size();
-  });
+  if (options.priority == JpPriority::kRandom) {
+    run([prio](vid_t u, vid_t v) {
+      return prio[static_cast<std::size_t>(u)] >
+             prio[static_cast<std::size_t>(v)];
+    });
+  } else {
+    run([prio, &options](vid_t u, vid_t v) {
+      const std::int64_t theirs = prio[static_cast<std::size_t>(u)];
+      const std::int64_t mine = prio[static_cast<std::size_t>(v)];
+      return theirs > mine ||
+             (theirs == mine &&
+              options.original_id(u) > options.original_id(v));
+    });
+  }
   result.num_colors = count_colors(result.colors);
   return result;
 }

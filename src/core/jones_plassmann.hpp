@@ -30,6 +30,13 @@ enum class JpPriority {
   kHybridDegreeThenRandom,
 };
 
+/// JP runs as a priority DAG (core/priority_dag.hpp): priorities are
+/// read-only after one init launch, one launch counts each vertex's
+/// outranking neighbors, and each round is one launch that colors the
+/// vertices whose count reached 0 and decrements their lower-priority
+/// neighbors' counts. A round is race-free because its vertices are
+/// pairwise non-adjacent and the decrements and ready-bit ORs commute.
+/// Launches: iterations + 1. Options::frontier_mode does not apply.
 struct JonesPlassmannOptions : Options {
   JpPriority priority = JpPriority::kRandom;
   /// kHybridDegreeThenRandom only: fraction of vertices (by degree rank)

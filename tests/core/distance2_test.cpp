@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "../testing/fixtures.hpp"
 #include "core/verify.hpp"
 #include "graph/build.hpp"
 #include "graph/generators/erdos_renyi.hpp"
 #include "graph/generators/grid.hpp"
+#include "graph/generators/rmat.hpp"
 #include "graph/generators/rgg.hpp"
 
 namespace gcol::color {
@@ -98,6 +102,48 @@ TEST(Distance2, ParallelDeterministicForSeed) {
   options.seed = 9;
   EXPECT_EQ(distance2_color(csr, options).colors,
             distance2_color(csr, options).colors);
+}
+
+/// FNV-1a over each color, then num_colors and iterations (the golden-colors
+/// suite's hash).
+std::uint64_t coloring_hash(const Coloring& coloring) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t value) {
+    auto bits = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= bits & 0xffU;
+      h *= 0x100000001b3ULL;
+      bits >>= 8;
+    }
+  };
+  for (const std::int32_t c : coloring.colors) mix(c);
+  mix(coloring.num_colors);
+  mix(coloring.iterations);
+  return h;
+}
+
+TEST(Distance2, ParallelColorsArePinned) {
+  // The parallel colorer's output is a function of (graph, seed) alone, at
+  // any worker count: these hashes pin it, so a round schedule that moves
+  // one color or one round fails here.
+  const struct {
+    const char* name;
+    graph::Csr csr;
+    std::uint64_t hash;
+  } cases[] = {
+      {"gnm", graph::build_csr(graph::generate_erdos_renyi(600, 3000, 42)),
+       0xa4c9344f78125c7bULL},
+      {"rmat", graph::build_csr(graph::generate_rmat(9, 8, {.seed = 5})),
+       0x25d259fd801ef195ULL},
+      {"rgg", graph::build_csr(graph::generate_rgg(9, {.seed = 7})),
+       0x8839c3b4b9007d3dULL},
+  };
+  for (const auto& c : cases) {
+    const Coloring result = distance2_color(c.csr, Distance2Options{});
+    ASSERT_TRUE(is_valid_distance2_coloring(c.csr, result.colors)) << c.name;
+    EXPECT_EQ(coloring_hash(result), c.hash)
+        << c.name << " hashes to 0x" << std::hex << coloring_hash(result);
+  }
 }
 
 TEST(Distance2, ParallelReportsRoundSeriesAndKernels) {
